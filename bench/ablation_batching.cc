@@ -24,7 +24,7 @@ int main() {
                       "wire MB", "time"});
   for (int64_t batch : {int64_t{1}, int64_t{512}, int64_t{4} * 1024,
                         int64_t{64} * 1024, int64_t{1024} * 1024}) {
-    RunConfig config;
+    EngineOptions config;
     config.sync_mode = SyncMode::kPartitionLocking;
     config.num_workers = 16;
     config.network = BenchNetwork();

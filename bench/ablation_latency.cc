@@ -26,7 +26,7 @@ int main() {
     int i = 0;
     for (SyncMode sync :
          {SyncMode::kPartitionLocking, SyncMode::kVertexLocking}) {
-      RunConfig config;
+      EngineOptions config;
       config.sync_mode = sync;
       config.num_workers = 16;
       config.network.one_way_latency_us = latency_us;

@@ -39,13 +39,10 @@ int main() {
       const int64_t forks =
           CountPartitionForks(BuildPartitionGraph(graph, partitioning));
 
-      EngineOptions opts = ToEngineOptions([&] {
-        RunConfig config;
-        config.sync_mode = SyncMode::kPartitionLocking;
-        config.num_workers = workers;
-        config.network = BenchNetwork();
-        return config;
-      }());
+      EngineOptions opts;
+      opts.sync_mode = SyncMode::kPartitionLocking;
+      opts.num_workers = workers;
+      opts.network = BenchNetwork();
       Engine<GreedyColoring> engine(&graph, opts);
       SG_CHECK_OK(engine.UsePartitioning(std::move(partitioning)));
       auto result = engine.Run(GreedyColoring());

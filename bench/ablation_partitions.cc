@@ -24,7 +24,7 @@ int main() {
                       "ctrl msgs", "max concurrent"});
   for (int ppw : {1, 2, 4, 8, 16, 32}) {
     for (bool pagerank : {false, true}) {
-      RunConfig config;
+      EngineOptions config;
       config.sync_mode = SyncMode::kPartitionLocking;
       config.num_workers = 16;
       config.partitions_per_worker = ppw;

@@ -35,7 +35,7 @@ int main() {
     int i = 0;
     for (SyncMode sync :
          {SyncMode::kPartitionLocking, SyncMode::kVertexLocking}) {
-      RunConfig config;
+      EngineOptions config;
       config.sync_mode = sync;
       config.num_workers = 8;
       config.network = BenchNetwork();

@@ -29,7 +29,7 @@ int main() {
   for (SyncMode sync :
        {SyncMode::kSingleLayerToken, SyncMode::kDualLayerToken,
         SyncMode::kPartitionLocking, SyncMode::kVertexLocking}) {
-    RunConfig config;
+    EngineOptions config;
     config.sync_mode = sync;
     config.num_workers = 16;
     config.network = BenchNetwork();

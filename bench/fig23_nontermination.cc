@@ -56,7 +56,7 @@ int main() {
         {ComputationModel::kAsync, SyncMode::kVertexLocking},
     };
     for (const Row& row : rows) {
-      RunConfig config;
+      EngineOptions config;
       config.model = row.model;
       config.sync_mode = row.sync;
       config.num_workers = 2;

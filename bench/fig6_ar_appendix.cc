@@ -30,7 +30,7 @@ int main() {
                              SyncMode::kPartitionLocking,
                              SyncMode::kVertexLocking};
   for (SyncMode sync : kModes) {
-    RunConfig config;
+    EngineOptions config;
     config.sync_mode = sync;
     config.num_workers = 16;
     config.network = BenchNetwork();

@@ -70,7 +70,7 @@ inline int RunFig6Grid(
     int argc, char** argv, const std::string& title,
     const std::string& paper_expectation, bool undirected,
     const std::function<std::pair<RunStats, bool>(const Graph&,
-                                                  const RunConfig&)>& run) {
+                                                  const EngineOptions&)>& run) {
   BenchArgs args = ParseBenchArgs(argc, argv);
   // Grid binaries take only the shared flags; anything left over (beyond
   // argv[0] and the trailing nullptr) is a typo worth failing on.
@@ -123,7 +123,7 @@ inline int RunFig6Grid(
         cell.sync = sync;
         cell.valid = true;
         for (int rep = 0; rep < reps; ++rep) {
-          RunConfig config;
+          EngineOptions config;
           config.sync_mode = sync;
           config.num_workers = workers;
           config.network = BenchNetwork();
@@ -257,7 +257,7 @@ inline void RunFig6Grid(
     const std::string& title, const std::string& paper_expectation,
     bool undirected,
     const std::function<std::pair<RunStats, bool>(const Graph&,
-                                                  const RunConfig&)>& run) {
+                                                  const EngineOptions&)>& run) {
   RunFig6Grid(0, nullptr, title, paper_expectation, undirected, run);
 }
 

@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
       "partition-based locking fastest everywhere; up to 2.3x vs "
       "vertex-based (TW, 32 workers) and 2.2x vs token passing (UK, 32)",
       /*undirected=*/true,
-      [](const Graph& graph, const RunConfig& config) {
+      [](const Graph& graph, const EngineOptions& config) {
         std::vector<int64_t> colors;
         RunStats stats = RunProgram(graph, GreedyColoring(), config, &colors);
         return std::make_pair(stats, IsProperColoring(graph, colors));

@@ -13,7 +13,7 @@ int main(int argc, char** argv) {
       "partition-based locking fastest everywhere; up to 18x vs "
       "vertex-based (OR, 16 workers) and >14x vs token passing (UK, 32)",
       /*undirected=*/false,
-      [](const Graph& graph, const RunConfig& config) {
+      [](const Graph& graph, const EngineOptions& config) {
         // Paper thresholds: 0.01 for the smaller graphs, 0.1 for TW/UK.
         const double tolerance = graph.num_vertices() >= 8000 ? 0.1 : 0.01;
         std::vector<double> values;

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
       "degenerates because workers halt and reactivate dynamically "
       "(Section 5.2)",
       /*undirected=*/false,
-      [](const Graph& graph, const RunConfig& config) {
+      [](const Graph& graph, const EngineOptions& config) {
         // Source: the highest-degree vertex's id is 0 in the Chung-Lu
         // stand-ins, giving a large reachable wavefront like the paper's
         // fixed source on real graphs.

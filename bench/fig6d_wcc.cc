@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
       "workers) and >8x vs token passing (UK, 32); multi-iteration "
       "algorithms multiply the per-iteration gains (Section 7.3)",
       /*undirected=*/true,
-      [](const Graph& graph, const RunConfig& config) {
+      [](const Graph& graph, const EngineOptions& config) {
         std::vector<int64_t> labels;
         RunStats stats = RunProgram(graph, Wcc(), config, &labels);
         const bool valid = labels == ReferenceWcc(graph);

@@ -44,7 +44,7 @@ int main() {
                       "vs partition-based"});
   std::vector<std::pair<std::string, RunStats>> results;
   for (const Case& c : cases) {
-    RunConfig config;
+    EngineOptions config;
     config.sync_mode = c.sync;
     config.num_workers = 16;
     config.network = BenchNetwork();

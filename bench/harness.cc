@@ -78,21 +78,18 @@ std::string CompilerVersion() {
 #endif
 
 std::string SanitizerList() {
+  // Each active sanitizer appends ",name"; the leading comma is dropped.
   std::string out;
-  const auto add = [&out](const char* name) {
-    if (!out.empty()) out += ",";
-    out += name;
-  };
 #if defined(__SANITIZE_ADDRESS__) || SERIGRAPH_HAS_FEATURE(address_sanitizer)
-  add("address");
+  out += ",address";
 #endif
 #if defined(__SANITIZE_THREAD__) || SERIGRAPH_HAS_FEATURE(thread_sanitizer)
-  add("thread");
+  out += ",thread";
 #endif
 #if SERIGRAPH_HAS_FEATURE(undefined_behavior_sanitizer)
-  add("undefined");
+  out += ",undefined";
 #endif
-  return out.empty() ? "none" : out;
+  return out.empty() ? "none" : out.substr(1);
 }
 
 void AppendCell(std::ostringstream& os, const BenchCell& cell) {

@@ -33,7 +33,7 @@ int main() {
   double partition_time = 1.0;
   std::vector<std::pair<std::string, RunStats>> results;
   for (const Case& c : cases) {
-    RunConfig config;
+    EngineOptions config;
     config.model = c.model;
     config.sync_mode = c.sync;
     config.num_workers = 8;

@@ -24,7 +24,7 @@ int main() {
         SyncMode::kVertexLocking}) {
     double base = 0.0;
     for (int workers : {4, 8, 16, 32}) {
-      RunConfig config;
+      EngineOptions config;
       config.sync_mode = sync;
       config.num_workers = workers;
       config.network = BenchNetwork();

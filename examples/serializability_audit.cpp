@@ -34,13 +34,13 @@ int main() {
        {SyncMode::kNone, SyncMode::kSingleLayerToken,
         SyncMode::kDualLayerToken, SyncMode::kVertexLocking,
         SyncMode::kPartitionLocking}) {
-    RunConfig config;
+    EngineOptions config;
     config.sync_mode = sync;
     config.num_workers = 6;
     config.record_history = true;
     config.max_supersteps = 200;
 
-    Engine<MaximalIndependentSet> engine(&graph, ToEngineOptions(config));
+    Engine<MaximalIndependentSet> engine(&graph, config);
     auto result = engine.Run(MaximalIndependentSet());
     SG_CHECK_OK(result.status());
     HistoryCheck check = CheckHistory(graph, result->history->TakeRecords());

@@ -33,7 +33,7 @@ int main() {
   for (SyncMode sync :
        {SyncMode::kNone, SyncMode::kDualLayerToken,
         SyncMode::kPartitionLocking, SyncMode::kVertexLocking}) {
-    RunConfig config;
+    EngineOptions config;
     config.sync_mode = sync;
     config.num_workers = 8;
     config.network = BenchNetwork();

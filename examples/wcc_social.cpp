@@ -28,7 +28,7 @@ int main() {
   SG_CHECK_OK(graph_or.status());
   Graph graph = graph_or->Undirected();
 
-  RunConfig config;
+  EngineOptions config;
   config.sync_mode = SyncMode::kPartitionLocking;
   config.num_workers = 8;
   config.network = BenchNetwork();

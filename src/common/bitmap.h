@@ -29,6 +29,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace serigraph {
@@ -168,7 +169,9 @@ class Bitmap {
     return n;
   }
 
-  /// ForEachSetBit over the union with `other` (same size).
+  /// ForEachSetBit over the union with `other` (same size). A callback
+  /// returning bool stops the walk at its first `false`; a void callback
+  /// visits every bit.
   template <typename Fn>
   void ForEachSetBitUnion(const Bitmap& other, Fn&& fn) const {
     const size_t nw = words_.size();
@@ -177,8 +180,13 @@ class Bitmap {
           words_[wi].v.load(std::memory_order_relaxed) |  // mo: see Test()
           other.words_[wi].v.load(std::memory_order_relaxed);  // mo: Test
       while (w != 0) {
-        const int b = std::countr_zero(w);
-        fn((wi << 6) + static_cast<size_t>(b));
+        const size_t i = (wi << 6) + static_cast<size_t>(std::countr_zero(w));
+        if constexpr (std::is_same_v<std::invoke_result_t<Fn&, size_t>,
+                                     bool>) {
+          if (!fn(i)) return;
+        } else {
+          fn(i);
+        }
         w &= w - 1;
       }
     }

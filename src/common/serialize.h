@@ -46,8 +46,10 @@ class BufferWriter {
   }
 
   void AppendRaw(const void* data, size_t n) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), p, p + n);
+    if (n == 0) return;
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, data, n);
   }
 
   size_t size() const { return buf_.size(); }

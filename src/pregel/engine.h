@@ -207,6 +207,9 @@ class Engine {
   // store.pending_bits()) are lock-free bitmap words — no lock on the
   // hot path, and barrier accounting is a popcount.
   // ------------------------------------------------------------------
+  /// Recorder provenance of one delivered message: (src, dst, version).
+  using Delivery = std::tuple<VertexId, VertexId, uint64_t>;
+
   struct PartitionStore {
     MessageStore<Message> store;
     /// Bit li set <=> local vertex li has NOT voted to halt. A bit flips
@@ -218,8 +221,7 @@ class Engine {
     /// only at the swap): (src, dst, version). History recording is a
     /// test/audit feature, so this sits outside the message hot path.
     sy::Mutex notify_mu;
-    std::vector<std::tuple<VertexId, VertexId, uint64_t>> pending_notify
-        SY_GUARDED_BY(notify_mu);
+    std::vector<Delivery> pending_notify SY_GUARDED_BY(notify_mu);
   };
 
   // ------------------------------------------------------------------
@@ -308,6 +310,8 @@ class Engine {
     /// once per batch instead of once per message.
     std::vector<std::vector<std::pair<int32_t, Message>>> batch_buckets;
     std::vector<PartitionId> batch_touched;
+    /// Parallel to batch_buckets, filled only with a recorder attached.
+    std::vector<std::vector<Delivery>> batch_deliveries;
 
     /// Reusable send-staging buffers; ProcessPartition checks one out
     /// for the duration of a partition's execution.
@@ -520,12 +524,23 @@ class Engine {
       ps.store.Append(local_index_[dst], message);
     }
     if (recorder_ != nullptr) {
-      if (options_.model == ComputationModel::kBsp) {
-        sy::MutexLock lock(&ps.notify_mu);
-        ps.pending_notify.emplace_back(src, dst, version);
-      } else {
-        recorder_->OnDeliver(src, dst, version);
-      }
+      const Delivery delivery{src, dst, version};
+      NotifyDelivered(ps, std::span(&delivery, 1));
+    }
+  }
+
+  /// Tells the recorder that `deliveries` reached `ps`'s store: at once
+  /// under AP, deferred to the barrier swap under BSP (the messages stay
+  /// invisible until then).
+  void NotifyDelivered(PartitionStore& ps,
+                       std::span<const Delivery> deliveries) {
+    if (options_.model == ComputationModel::kBsp) {
+      sy::MutexLock lock(&ps.notify_mu);
+      for (const Delivery& d : deliveries) ps.pending_notify.push_back(d);
+      return;
+    }
+    for (const auto& [src, dst, version] : deliveries) {
+      recorder_->OnDeliver(src, dst, version);
     }
   }
 
@@ -559,7 +574,9 @@ class Engine {
   /// publish its captured broadcasts for next superstep's gather (flip
   /// the double buffer), and decide whether the NEXT superstep captures.
   /// `total` is the barrier's eligible-vertex count (broadcasters
-  /// included when this superstep captured).
+  /// included when this superstep captured). Run() also calls it once,
+  /// with `superstep` one before the first, to decide that superstep
+  /// from the post-restore frontier.
   void AdvancePullEpoch(int superstep, int64_t total, bool stop) {
     last_density_milli_ = std::min<int64_t>(
         1000, Frontier::DensityMilli(static_cast<size_t>(total),
@@ -635,30 +652,38 @@ class Engine {
     // mo: dirty hint; barrier orders the data
     worker.touched[dst_worker].store(1, std::memory_order_relaxed);
     OutBuffer& out = *worker.out[dst_worker];
+    sy::MutexLock lock(&out.mu);
+    BufferRecordLocked(out, src, dst, version, message);
+    FlushIfFullLocked(worker, dst_worker, out);
+  }
+
+  /// Adds one record to `out`. Under sender-side combining (Besta et
+  /// al.'s push-side reduction) it folds into the per-destination map
+  /// and is encoded only at flush time; otherwise it is encoded now.
+  void BufferRecordLocked(OutBuffer& out, VertexId src, VertexId dst,
+                          uint64_t version, const Message& message)
+      SY_REQUIRES(out.mu) {
     if constexpr (kHasCombiner) {
       if (sender_combining_) {
-        // Sender-side combining (Besta et al.'s push-side reduction):
-        // fold into the per-destination map under the out lock; the
-        // encoded record is produced only at flush time.
-        sy::MutexLock lock(&out.mu);
         if (out.combine.Fold(dst, message,
                              [](const Message& a, const Message& b) {
                                return Program::Combine(a, b);
                              })) {
           out.combine_bytes += kCombinedRecordBytes;
         }
-        if (static_cast<int64_t>(out.writer.size()) + out.combine_bytes >=
-            options_.message_batch_bytes) {
-          FlushBufferLocked(worker, dst_worker, out);
-        }
         return;
       }
     }
-    sy::MutexLock lock(&out.mu);
     EncodeRecord(out.writer, src, dst, version, message);
-    if (static_cast<int64_t>(out.writer.size()) >=
+  }
+
+  /// Flushes `out` once its encoded and combined bytes reach the batch
+  /// size (`combine_bytes` stays 0 without sender combining).
+  void FlushIfFullLocked(WorkerState& worker, WorkerId dst, OutBuffer& out)
+      SY_REQUIRES(out.mu) {
+    if (static_cast<int64_t>(out.writer.size()) + out.combine_bytes >=
         options_.message_batch_bytes) {
-      FlushBufferLocked(worker, dst_worker, out);
+      FlushBufferLocked(worker, dst, out);
     }
   }
 
@@ -727,36 +752,14 @@ class Engine {
     if (bucket.records.empty()) return;
     OutBuffer& out = *worker.out[dst_worker];
     sy::MutexLock lock(&out.mu);
-    if constexpr (kHasCombiner) {
-      if (sender_combining_) {
-        for (const auto& [dst, message] : bucket.records) {
-          if (out.combine.Fold(dst, message,
-                               [](const Message& a, const Message& b) {
-                                 return Program::Combine(a, b);
-                               })) {
-            out.combine_bytes += kCombinedRecordBytes;
-          }
-        }
-        bucket.records.clear();
-        bucket.bytes = 0;
-        if (static_cast<int64_t>(out.writer.size()) + out.combine_bytes >=
-            options_.message_batch_bytes) {
-          FlushBufferLocked(worker, dst_worker, out);
-        }
-        return;
-      }
-    }
     for (const auto& [dst, message] : bucket.records) {
       // Staged records carry no (src, version) — staging is disabled
       // whenever a history recorder is attached (see Run()).
-      EncodeRecord(out.writer, /*src=*/0, dst, /*version=*/0, message);
+      BufferRecordLocked(out, /*src=*/0, dst, /*version=*/0, message);
     }
     bucket.records.clear();
     bucket.bytes = 0;
-    if (static_cast<int64_t>(out.writer.size()) >=
-        options_.message_batch_bytes) {
-      FlushBufferLocked(worker, dst_worker, out);
-    }
+    FlushIfFullLocked(worker, dst_worker, out);
   }
 
   /// Empties one partition bin into its destination store (one batched
@@ -802,40 +805,21 @@ class Engine {
     worker.staging_pool.emplace_back(staging);
   }
 
+  /// Decodes a wire batch into per-partition buckets, then applies each
+  /// bucket with one lock acquisition per store shard touched. With a
+  /// recorder attached, each bucket's (src, version) provenance goes to
+  /// the recorder right after that bucket's append — all before this
+  /// returns, so a control message queued behind the batch (a fork
+  /// handover) is handled only after every delivery in it was recorded.
   void ApplyDataBatch(WorkerState& worker, const WireMessage& wire) {
     BufferReader reader(wire.payload);
-    if (recorder_ != nullptr) {
-      // Audit path: deliver per message so (src, version) ordering
-      // reaches the recorder exactly as before.
-      const bool bsp = options_.model == ComputationModel::kBsp;
-      while (!reader.AtEnd()) {
-        uint64_t dst_raw, src_raw, version;
-        Message message;
-        SG_CHECK(reader.ReadVarint(&dst_raw));
-        SG_CHECK(reader.ReadVarint(&src_raw));
-        SG_CHECK(reader.ReadVarint(&version));
-        SG_CHECK(MessageCodec<Message>::Decode(reader, &message));
-        const VertexId dst = static_cast<VertexId>(dst_raw);
-        const VertexId src = static_cast<VertexId>(src_raw);
-        PartitionStore& ps = *stores_[partitioning_.PartitionOf(dst)];
-        ps.store.Append(local_index_[dst], message);
-        if (bsp) {
-          sy::MutexLock lock(&ps.notify_mu);
-          ps.pending_notify.emplace_back(src, dst, version);
-        } else {
-          recorder_->OnDeliver(src, dst, version);
-        }
-      }
-      return;
-    }
-    // Hot path: decode into per-partition buckets first, then apply each
-    // bucket with one lock acquisition per store shard touched.
     auto& buckets = worker.batch_buckets;
+    auto& deliveries = worker.batch_deliveries;
     auto& touched = worker.batch_touched;
     int64_t decoded = 0;
     while (!reader.AtEnd()) {
-      uint64_t dst_raw, src_raw, version;
-      Message message;
+      uint64_t dst_raw = 0, src_raw = 0, version = 0;
+      Message message{};
       SG_CHECK(reader.ReadVarint(&dst_raw));
       SG_CHECK(reader.ReadVarint(&src_raw));
       SG_CHECK(reader.ReadVarint(&version));
@@ -844,12 +828,21 @@ class Engine {
       const PartitionId p = partitioning_.PartitionOf(dst);
       if (buckets[p].empty()) touched.push_back(p);
       buckets[p].emplace_back(local_index_[dst], std::move(message));
+      if (recorder_ != nullptr) {
+        deliveries[p].emplace_back(static_cast<VertexId>(src_raw), dst,
+                                   version);
+      }
       ++decoded;
     }
     const auto t0 = std::chrono::steady_clock::now();
     for (PartitionId p : touched) {
-      stores_[p]->store.AppendBatch(std::span(buckets[p]));
+      PartitionStore& ps = *stores_[p];
+      ps.store.AppendBatch(std::span(buckets[p]));
       buckets[p].clear();
+      if (recorder_ != nullptr) {
+        NotifyDelivered(ps, deliveries[p]);
+        deliveries[p].clear();
+      }
     }
     touched.clear();
     if (decoded > 0) {
@@ -940,13 +933,10 @@ class Engine {
     if (skip_ack_wait) return;
     ScopedBlocked blocked(supervisor_.get(), worker.id);
     sy::MutexLock lock(&worker.ack_mu);
-    if (!fault_active_) {
-      while (worker.acks_pending != 0) worker.ack_cv.Wait(worker.ack_mu);
-      return;
-    }
-    // Under fault tolerance the confirmation may never arrive (the marker,
-    // the ack, or the peer itself can be a casualty); wait in slices and
-    // abandon the attempt once a failure has been detected.
+    // Under fault injection the confirmation may never arrive (the
+    // marker, the ack, or the peer itself can be a casualty); wait in
+    // slices and abandon the attempt once a failure has been detected.
+    // Without faults the first slice normally ends by notification.
     while (worker.acks_pending != 0 && !AttemptAborted(worker)) {
       worker.ack_cv.WaitFor(worker.ack_mu, std::chrono::milliseconds(20));
     }
@@ -971,7 +961,6 @@ class Engine {
                                int superstep, LocalAggregates& aggregates,
                                SendStaging* staging) {
     if (Introspector::enabled()) Introspector::Get().OnProgress(worker.id);
-    if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
     // BSP consumes a zero-copy span of the partition's flat buffer (no
     // lock); AP detaches the arrival chain into this per-thread scratch.
     thread_local std::vector<Message> scratch;
@@ -1065,9 +1054,6 @@ class Engine {
     // only waits there. Fork waits nest inside this compute scope, like
     // they do in the wall-clock accounting.
     SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kCompute);
-    PartitionStore& ps = *stores_[p];
-    const std::vector<VertexId>& vertices =
-        partitioning_.VerticesOfPartition(p);
     // Aggregator contributions fold lock-free here and merge into the
     // worker's accumulator once, after the partition's vertices ran.
     LocalAggregates aggregates;
@@ -1077,8 +1063,8 @@ class Engine {
     // concurrent fork handover's flush (condition C1) always finds this
     // partition's records already buffered.
     SendStaging* staging = send_staging_ ? AcquireStaging(worker) : nullptr;
-    ProcessPartitionVertices(worker, program, p, superstep, ps, vertices,
-                             aggregates, staging);
+    ProcessPartitionVertices(worker, program, p, superstep, aggregates,
+                             staging);
     if (staging != nullptr) {
       DrainStaging(worker, *staging);
       ReleaseStaging(worker, staging);
@@ -1086,55 +1072,79 @@ class Engine {
     worker.aggregates.MergeFrom(aggregates);
   }
 
+  /// Liveness probe shared by the frontier walk and WorkerLoop's fault
+  /// points: a supervisor heartbeat, then the injected fault at
+  /// `fault_point` (if any), then the attempt-abort check. False means
+  /// this worker must unwind. Without fault tolerance there is no
+  /// supervisor and no attempt ever aborts.
+  bool Alive(WorkerState& worker, const char* fault_point = nullptr) {
+    if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
+    if (fault_point != nullptr && SG_FAULT_POINT(fault_point, worker.id)) {
+      return false;
+    }
+    return !AttemptAborted(worker);
+  }
+
+  /// The frontier walk over partition `p`: calls fn(v) in ascending
+  /// local-index order, each call preceded by the Alive() probe, and
+  /// stops at the first false from either. Dense visits every vertex;
+  /// sparse visits only the set bits of active|pending, skipping clear
+  /// words in one load each. A visited vertex gets the same eligibility
+  /// probe in both modes, so mid-superstep AP arrivals race alike.
+  template <typename Fn>
+  void ForEachEligible(WorkerState& worker, PartitionId p, bool dense,
+                       Fn&& fn) {
+    const std::vector<VertexId>& vertices =
+        partitioning_.VerticesOfPartition(p);
+    const auto step = [&](size_t li) {
+      return Alive(worker) && fn(vertices[li]);
+    };
+    if (dense) {
+      for (size_t li = 0; li < vertices.size(); ++li) {
+        if (!step(li)) return;
+      }
+      return;
+    }
+    const PartitionStore& ps = *stores_[p];
+    ps.active_bits.ForEachSetBitUnion(ps.store.pending_bits(), step);
+  }
+
   void ProcessPartitionVertices(WorkerState& worker, const Program& program,
                                 PartitionId p, int superstep,
-                                PartitionStore& ps,
-                                const std::vector<VertexId>& vertices,
                                 LocalAggregates& aggregates,
                                 SendStaging* staging) {
-    // Sparse supersteps iterate the set bits of active|pending instead of
-    // probing every vertex (tentpole: bitmap frontiers). The probe a set
-    // bit triggers is the same probe the full scan would have made, so
-    // mid-superstep AP arrivals race identically in both forms. Fault
-    // injection keeps the legacy full scan: the supervisor expects a
-    // Beat per probe and the abort checks want per-vertex granularity.
+    PartitionStore& ps = *stores_[p];
+    const auto execute = [&](VertexId v) {
+      ExecuteVertexIfEligible(worker, ps, program, v, superstep, aggregates,
+                              staging);
+      return true;
+    };
     switch (granularity_) {
       case SyncTechnique::Granularity::kNone:
-        if (fault_active_ || gather_bcast_) {
-          // Gather supersteps must probe every vertex: a halted vertex
-          // with a broadcasting in-neighbor is eligible, but the
-          // broadcast was captured, not stored, so no pending bit marks
-          // it. (Gathering only happens after a dense superstep, where
-          // a full scan is the right shape anyway.)
-          for (VertexId v : vertices) {
-            if (fault_active_ && AttemptAborted(worker)) return;
-            ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                    aggregates, staging);
-          }
-        } else {
-          ps.active_bits.ForEachSetBitUnion(
-              ps.store.pending_bits(), [&](size_t li) {
-                ExecuteVertexIfEligible(worker, ps, program, vertices[li],
-                                        superstep, aggregates, staging);
-              });
-        }
+        // Gather supersteps walk densely: a halted vertex with a
+        // broadcasting in-neighbor is eligible, but the broadcast was
+        // captured, not stored, so no pending bit marks it. (Gathering
+        // only follows a dense superstep, where a full scan is the right
+        // shape anyway.)
+        ForEachEligible(worker, p, /*dense=*/gather_bcast_, execute);
         break;
       case SyncTechnique::Granularity::kVertexGate:
-        for (VertexId v : vertices) {
-          if (fault_active_ && AttemptAborted(worker)) return;
-          if (!technique_->MayExecuteVertex(worker.id, superstep, v)) {
-            continue;  // stays pending until its token arrives
+        // Dense: the token techniques are consulted for every vertex, in
+        // order, eligible or not.
+        ForEachEligible(worker, p, /*dense=*/true, [&](VertexId v) {
+          // A vertex without its token stays pending until it arrives.
+          if (technique_->MayExecuteVertex(worker.id, superstep, v)) {
+            execute(v);
           }
-          ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                  aggregates, staging);
-        }
+          return true;
+        });
         break;
       case SyncTechnique::Granularity::kPartitionLock: {
         if (!PartitionEligible(p)) {
           skipped_partitions_->Increment();
           return;
         }
-        if (fault_active_ && AttemptAborted(worker)) return;
+        if (AttemptAborted(worker)) return;
         {
           SG_TRACE_SPAN("sync.fork_acquire");
           SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kForkWait);
@@ -1146,36 +1156,16 @@ class Engine {
           RecordForkWait(worker, Tracer::NowMicros() - t0);
           if (!acquired) return;  // watchdog abort: lock NOT held
         }
-        if (fault_active_) {
-          for (VertexId v : vertices) {
-            ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                    aggregates, staging);
-          }
-        } else {
-          ps.active_bits.ForEachSetBitUnion(
-              ps.store.pending_bits(), [&](size_t li) {
-                ExecuteVertexIfEligible(worker, ps, program, vertices[li],
-                                        superstep, aggregates, staging);
-              });
-        }
+        ForEachEligible(worker, p, /*dense=*/false, execute);
         // C1: staged sends must be in the out-buffer before the forks
         // can move — the handover flush only covers the shared buffers.
         if (staging != nullptr) DrainStaging(worker, *staging);
         technique_->ReleasePartition(worker.id, p);
         break;
       }
-      case SyncTechnique::Granularity::kVertexLock: {
-        // Per-vertex body shared by the sparse and full-scan forms. The
-        // `aborted` flag replaces the mid-loop `return`: ForEachSetBit
-        // has no break, so remaining bits become cheap no-ops.
-        bool aborted = false;
-        auto run_one = [&](VertexId v) {
-          if (aborted) return;
-          if (!VertexEligible(ps, v)) return;
-          if (fault_active_ && AttemptAborted(worker)) {
-            aborted = true;
-            return;
-          }
+      case SyncTechnique::Granularity::kVertexLock:
+        ForEachEligible(worker, p, /*dense=*/false, [&](VertexId v) {
+          if (!VertexEligible(ps, v)) return true;
           {
             SG_TRACE_SPAN("sync.fork_acquire");
             SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kForkWait);
@@ -1183,29 +1173,19 @@ class Engine {
             ScopedBlocked blocked(supervisor_.get(), worker.id);
             const bool acquired = technique_->AcquireVertex(worker.id, v);
             RecordForkWait(worker, Tracer::NowMicros() - t0);
-            if (!acquired) {  // watchdog abort: lock NOT held
-              aborted = true;
-              return;
-            }
+            if (!acquired) return false;  // watchdog abort: lock NOT held
           }
-          ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                  aggregates, staging);
+          execute(v);
           // C1, per vertex: drain before this vertex's forks release.
           if (staging != nullptr) DrainStaging(worker, *staging);
           technique_->ReleaseVertex(worker.id, v);
-        };
-        if (fault_active_) {
-          for (VertexId v : vertices) {
-            run_one(v);
-            if (aborted) return;
-          }
-        } else {
-          ps.active_bits.ForEachSetBitUnion(
-              ps.store.pending_bits(),
-              [&](size_t li) { run_one(vertices[li]); });
-        }
+          return true;
+        });
         break;
-      }
+      case SyncTechnique::Granularity::kBspVertexLock:
+        // Proposition 1 runs whole supersteps in RunSuperstepConstrainedBsp.
+        SG_LOG(kFatal) << "kBspVertexLock never runs partitions";
+        break;
     }
   }
 
@@ -1250,7 +1230,7 @@ class Engine {
     ps.store.Swap();
     store_swap_hist_->Record(Tracer::NowMicros() - t0);
     if (recorder_ == nullptr) return;
-    std::vector<std::tuple<VertexId, VertexId, uint64_t>> drained;
+    std::vector<Delivery> drained;
     {
       sy::MutexLock lock(&ps.notify_mu);
       drained.swap(ps.pending_notify);
@@ -1548,15 +1528,15 @@ class Engine {
     // Pending = this worker's eligible vertices, fixed at superstep start.
     std::vector<VertexId> pending;
     for (PartitionId p : partitioning_.PartitionsOfWorker(worker.id)) {
-      PartitionStore& ps = *stores_[p];
-      for (VertexId v : partitioning_.VerticesOfPartition(p)) {
-        if (VertexEligible(ps, v)) pending.push_back(v);
-      }
+      ForEachEligible(worker, p, /*dense=*/false, [&](VertexId v) {
+        pending.push_back(v);
+        return true;
+      });
     }
     LocalAggregates aggregates;
     int idle_rounds = 0;
     for (;;) {
-      if (fault_active_ && AttemptAborted(worker)) return;
+      if (AttemptAborted(worker)) return;
       int64_t executed = 0;
       std::vector<VertexId> still_pending;
       for (VertexId v : pending) {
@@ -1606,7 +1586,7 @@ class Engine {
       AwaitBarrier(worker);
       // A broken barrier (failure detected) means the serial section may
       // never have run: leave via the abort flag, not via sub_stop_.
-      if (fault_active_ && AttemptAborted(worker)) return;
+      if (AttemptAborted(worker)) return;
       if (sub_stop_) break;
       if (!sub_executed_any_) {
         // No vertex anywhere was ready: fork traffic is still in flight
@@ -1683,14 +1663,10 @@ class Engine {
         std::this_thread::sleep_for(
             std::chrono::microseconds(options_.superstep_overhead_us));
       }
-      if (probes_active_) {
-        if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
-        // A fired crash/hang returns true: this worker "dies" here. The
-        // crash handler has already told the supervisor, which breaks the
-        // barrier so the surviving workers unwind too.
-        if (SG_FAULT_POINT("engine.superstep_start", worker.id)) break;
-        if (AttemptAborted(worker)) break;
-      }
+      // A fired crash/hang makes Alive() false: this worker "dies" here.
+      // The crash handler has already told the supervisor, which breaks
+      // the barrier so the surviving workers unwind too.
+      if (probes_active_ && !Alive(worker, "engine.superstep_start")) break;
       technique_->OnSuperstepStart(worker.id, superstep);
       if (Introspector::enabled()) {
         Introspector::Get().SetPhase(worker.id, WorkerPhase::kCompute,
@@ -1709,11 +1685,7 @@ class Engine {
         }
         sample.compute_us = Tracer::NowMicros() - t0;
       }
-      if (probes_active_) {
-        if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
-        if (SG_FAULT_POINT("engine.post_compute", worker.id)) break;
-        if (AttemptAborted(worker)) break;
-      }
+      if (probes_active_ && !Alive(worker, "engine.post_compute")) break;
       {
         SG_TRACE_SPAN("engine.flush_acks");
         SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kFlushWait);
@@ -1726,10 +1698,7 @@ class Engine {
         technique_->OnSuperstepEnd(worker.id, superstep);
         sample.flush_wait_us = Tracer::NowMicros() - t0;
       }
-      if (probes_active_) {
-        if (SG_FAULT_POINT("engine.pre_barrier", worker.id)) break;
-        if (AttemptAborted(worker)) break;
-      }
+      if (probes_active_ && !Alive(worker, "engine.pre_barrier")) break;
 
       if (Introspector::enabled()) {
         Introspector::Get().SetPhase(worker.id, WorkerPhase::kBarrierWait,
@@ -1785,7 +1754,7 @@ class Engine {
         stop_.store(stop, std::memory_order_release);
       }
       TimedAwait(worker, &barrier_us);  // B3: decision visible
-      if (fault_active_ && AttemptAborted(worker)) break;
+      if (AttemptAborted(worker)) break;
       if (Introspector::enabled()) {
         // Superstep completion is global progress even if no vertex ran.
         Introspector::Get().OnProgress(worker.id);
@@ -1943,13 +1912,10 @@ class Engine {
     barrier_->Break();
   }
 
-  /// True when this run needs failure detection (plan armed or recovery
-  /// on). Plain bool fixed before workers start; guards the per-superstep
-  /// abort polls so fault-free runs stay branch-predictable.
-  bool fault_active_ = false;
-  /// Superset of fault_active_: also true under a serichk scheduler, so
-  /// the SG_FAULT_POINT probes in WorkerLoop fire as schedule points
-  /// without arming the fault machinery (no supervisor, no introspector).
+  /// True when fault injection or recovery is on, or under a serichk
+  /// scheduler, where the SG_FAULT_POINT probes in WorkerLoop fire as
+  /// schedule points without arming the fault machinery (no supervisor,
+  /// no introspector). Fixed before workers start.
   bool probes_active_ = false;
   /// Poisons the current attempt; set by OnWorkerFailure.
   std::atomic<bool> attempt_failed_{false};
@@ -2027,8 +1993,10 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
 
   const VertexId n = graph_->num_vertices();
   const int num_workers = options_.num_workers;
-  fault_active_ = options_.fault.Active();
-  probes_active_ = fault_active_ || sy::SchedulerArmed();
+  // Failure detection (plan armed or recovery on) is set up here and in
+  // the attempt loop; workers only ever poll AttemptAborted().
+  const bool fault_active = options_.fault.Active();
+  probes_active_ = fault_active || sy::SchedulerArmed();
 
   // --- run-wide setup, shared by every attempt (excluded from
   // --- computation time) ----------------------------------------------
@@ -2084,7 +2052,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   pull_enabled_ = kPullCapable &&
                   options_.model == ComputationModel::kBsp &&
                   options_.sync_mode == SyncMode::kNone &&
-                  recorder_ == nullptr && !fault_active_ &&
+                  recorder_ == nullptr && !fault_active &&
                   options_.checkpoint_every == 0 &&
                   options_.push_pull != PushPullMode::kForcePush;
   if constexpr (kPullCapable) {
@@ -2191,7 +2159,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   // The introspector doubles as the abort channel that unblocks fork
   // acquisition waits, so fault-tolerant runs force it on even without
   // options_.introspect (the watchdog stays opt-in).
-  const bool use_introspector = options_.introspect || fault_active_;
+  const bool use_introspector = options_.introspect || fault_active;
   double total_seconds = 0.0;
   std::string abort_reason;
 
@@ -2222,7 +2190,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     tech_ctx.partitioning = &partitioning_;
     tech_ctx.boundaries = boundaries_.get();
     tech_ctx.metrics = &metrics_;
-    if (fault_active_) {
+    if (fault_active) {
       // A dropped control message can leave the fork protocol in a state
       // its invariants reject (e.g. a request for a fork whose transfer
       // vanished) *before* the link-sequence gap surfaces. Route such
@@ -2239,7 +2207,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
 
     transport_ = std::make_unique<Transport>(num_workers, options_.network,
                                              &metrics_);
-    if (fault_active_) {
+    if (fault_active) {
       // Loss reports (link sequence gaps) route to the supervisor; set
       // before any comm thread runs. The supervisor ignores reports
       // after Stop(), so gaps noticed while draining a clean teardown
@@ -2283,7 +2251,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
         SERIGRAPH_RETURN_IF_ERROR(DecodeState(frame->payload));
         start_superstep_ = frame->superstep;
       }
-      if (fault_active_ && options_.fault.recover) {
+      if (fault_active && options_.fault.recover) {
         // Last-resort restore target: the exact state computation starts
         // from, kept in memory for the case where no checkpoint ever
         // reaches disk before the first failure.
@@ -2303,22 +2271,12 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     capture_bcast_ = false;
     gather_bcast_ = false;
     if (pull_enabled_) {
-      size_t eligible = 0;
+      int64_t eligible = 0;
       for (const auto& ps : stores_) {
-        eligible += ps->active_bits.PopcountUnion(ps->store.pending_bits());
+        eligible += static_cast<int64_t>(
+            ps->active_bits.PopcountUnion(ps->store.pending_bits()));
       }
-      last_density_milli_ = std::min<int64_t>(
-          1000,
-          Frontier::DensityMilli(eligible, static_cast<size_t>(n)));
-      frontier_density_gauge_->Observe(last_density_milli_);
-      capture_bcast_ = DecidePull(last_density_milli_);
-      if (capture_bcast_) {
-        pull_supersteps_->Increment();
-        bcast_bits_[bcast_cur_].ClearAll();
-      }
-      SG_LOG(kDebug) << "push/pull: superstep " << start_superstep_
-                     << " mode=" << (capture_bcast_ ? "pull" : "push")
-                     << " (density " << last_density_milli_ << "/1000)";
+      AdvancePullEpoch(start_superstep_ - 1, eligible, /*stop=*/false);
     }
 
     barrier_ = std::make_unique<CyclicBarrier>(num_workers);
@@ -2331,6 +2289,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
       worker->id = w;
       worker->touched = std::vector<std::atomic<uint8_t>>(num_workers);
       worker->batch_buckets.resize(partitioning_.num_partitions());
+      worker->batch_deliveries.resize(partitioning_.num_partitions());
       for (int d = 0; d < num_workers; ++d) {
         worker->out.push_back(std::make_unique<OutBuffer>());
       }
@@ -2343,7 +2302,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     for (auto& worker : workers_) {
       technique_->BindWorker(worker->id, worker.get());
     }
-    if (fault_active_) {
+    if (fault_active) {
       supervisor_ = std::make_unique<Supervisor>(
           num_workers, options_.fault.supervisor,
           [this](const FailureReport& report) { OnWorkerFailure(report); });

@@ -113,6 +113,59 @@ TEST(BitmapTest, UnionViews) {
   EXPECT_EQ(got, (std::vector<size_t>{3, 64, 129}));
 }
 
+// A bool callback ends the union walk at its first `false`, even when
+// more set bits remain in the same word.
+TEST(BitmapTest, UnionWalkStopsMidWord) {
+  Bitmap a(200), b(200);
+  for (size_t i : {5u, 9u, 20u, 70u}) a.Set(i);
+  for (size_t i : {7u, 150u}) b.Set(i);
+  std::vector<size_t> got;
+  a.ForEachSetBitUnion(b, [&](size_t i) {
+    got.push_back(i);
+    return i != 9;  // 9 is the third bit of word 0; 20 shares its word
+  });
+  EXPECT_EQ(got, (std::vector<size_t>{5, 7, 9}));
+}
+
+TEST(BitmapTest, UnionWalkStopsAtFirstBit) {
+  Bitmap a(130), b(130);
+  a.Set(64);
+  b.Set(65);
+  size_t calls = 0;
+  a.ForEachSetBitUnion(b, [&](size_t) {
+    ++calls;
+    return false;
+  });
+  EXPECT_EQ(calls, 1u);
+}
+
+// Visits stay ascending across the union, whichever side a bit is from,
+// and a callback that never says stop sees every bit.
+TEST(BitmapTest, UnionWalkAscendingAcrossSides) {
+  Bitmap a(300), b(300);
+  const std::vector<size_t> from_a = {0, 63, 128, 299};
+  const std::vector<size_t> from_b = {1, 64, 127, 200, 299};
+  for (size_t i : from_a) a.Set(i);
+  for (size_t i : from_b) b.Set(i);
+  const std::vector<size_t> want = {0, 1, 63, 64, 127, 128, 200, 299};
+  std::vector<size_t> got;
+  a.ForEachSetBitUnion(b, [&](size_t i) {
+    got.push_back(i);
+    return true;
+  });
+  EXPECT_EQ(got, want);
+}
+
+// A void callback keeps the old contract: no early exit, every bit.
+TEST(BitmapTest, UnionWalkVoidCallbackVisitsAll) {
+  Bitmap a(256), b(256);
+  a.SetAll();
+  b.Set(17);
+  size_t calls = 0;
+  a.ForEachSetBitUnion(b, [&](size_t) { ++calls; });
+  EXPECT_EQ(calls, 256u);
+}
+
 // Many threads set interleaved bits that share words: under TSan this
 // validates the relaxed fetch_or protocol, and the final popcount
 // validates that no RMW was lost.

@@ -11,6 +11,7 @@
 #include <fstream>
 
 #include "algos/coloring.h"
+#include "algos/pagerank.h"
 #include "algos/sssp.h"
 #include "fault/fault.h"
 #include "graph/generators.h"
@@ -248,6 +249,62 @@ TEST(EngineCheckpointTest, RestoreFromEarlierCheckpointAlsoFinishes) {
   EXPECT_EQ(resumed->values, expected->values);
   std::remove(early.c_str());
   std::remove(writer.last_checkpoint_path().c_str());
+}
+
+// Checkpointing keeps pull off, but a restored run without checkpoints
+// may pull again: its first superstep's push/pull decision is taken from
+// the restored frontier. Forced pull and forced push must agree.
+TEST(EngineCheckpointTest, RestoredPageRankPullsLikeItPushes) {
+  auto g = Graph::FromEdgeList(ErdosRenyi(300, 1500, 41));
+  ASSERT_TRUE(g.ok());
+  Graph graph = std::move(g).value();
+
+  EngineOptions base;
+  base.model = ComputationModel::kBsp;
+  base.num_workers = 3;
+  base.partitions_per_worker = 2;
+
+  EngineOptions with_ckpt = base;
+  with_ckpt.checkpoint_every = 3;
+  with_ckpt.checkpoint_dir = testing::TempDir();
+  Engine<PageRank> writer(&graph, with_ckpt);
+  auto first = writer.Run(PageRank(1e-9));
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_GT(first->stats.supersteps, 6);  // restore leaves work to do
+  EXPECT_EQ(first->stats.metrics.at("engine.pull_supersteps"), 0);
+  // The first checkpoint (superstep 3), so the restored runs go on long.
+  const std::string mid_run = testing::TempDir() + "/checkpoint_3.bin";
+
+  std::vector<double> values[2];
+  const PushPullMode modes[] = {PushPullMode::kForcePull,
+                                PushPullMode::kForcePush};
+  for (int i = 0; i < 2; ++i) {
+    EngineOptions restore = base;
+    restore.restore_path = mid_run;
+    restore.push_pull = modes[i];
+    Engine<PageRank> restored(&graph, restore);
+    auto resumed = restored.Run(PageRank(1e-9));
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_TRUE(resumed->stats.converged);
+    const int64_t pulls = resumed->stats.metrics.at("engine.pull_supersteps");
+    if (modes[i] == PushPullMode::kForcePull) {
+      EXPECT_GT(pulls, 0) << "restored run must pull under kForcePull";
+      // Every resumed superstep pulls, the first one included.
+      EXPECT_EQ(pulls, resumed->stats.supersteps - 3);
+    } else {
+      EXPECT_EQ(pulls, 0);
+    }
+    values[i] = std::move(resumed->values);
+  }
+  ASSERT_EQ(values[0].size(), values[1].size());
+  for (size_t v = 0; v < values[0].size(); ++v) {
+    EXPECT_NEAR(values[0][v], values[1][v], 1e-6) << "vertex " << v;
+  }
+  for (int s = 3; s < first->stats.supersteps; s += 3) {
+    std::remove((testing::TempDir() + "/checkpoint_" + std::to_string(s) +
+                 ".bin")
+                    .c_str());
+  }
 }
 
 TEST(EngineCheckpointTest, RestoreUnderSerializableTechnique) {

@@ -65,32 +65,6 @@ TEST(TablePrinterTest, Formatters) {
   EXPECT_EQ(TablePrinter::Count(1500), "1.5K");
 }
 
-TEST(RunnerTest, ToEngineOptionsCopiesEverything) {
-  RunConfig config;
-  config.sync_mode = SyncMode::kVertexLocking;
-  config.model = ComputationModel::kAsync;
-  config.num_workers = 7;
-  config.partitions_per_worker = 3;
-  config.compute_threads_per_worker = 5;
-  config.network.one_way_latency_us = 123;
-  config.message_batch_bytes = 99;
-  config.max_supersteps = 17;
-  config.superstep_overhead_us = 11;
-  config.partition_seed = 13;
-  config.record_history = true;
-  EngineOptions opts = ToEngineOptions(config);
-  EXPECT_EQ(opts.sync_mode, SyncMode::kVertexLocking);
-  EXPECT_EQ(opts.num_workers, 7);
-  EXPECT_EQ(opts.partitions_per_worker, 3);
-  EXPECT_EQ(opts.compute_threads_per_worker, 5);
-  EXPECT_EQ(opts.network.one_way_latency_us, 123);
-  EXPECT_EQ(opts.message_batch_bytes, 99);
-  EXPECT_EQ(opts.max_supersteps, 17);
-  EXPECT_EQ(opts.superstep_overhead_us, 11);
-  EXPECT_EQ(opts.partition_seed, 13u);
-  EXPECT_TRUE(opts.record_history);
-}
-
 TEST(NetworkOptionsTest, DelayFormula) {
   NetworkOptions network;
   network.one_way_latency_us = 100;

@@ -285,7 +285,9 @@ TEST(ObsServerTest, ConcurrentScrapeDuringSixteenWorkerEngineRun) {
     Engine<Sssp> engine(&*g, opts);
     auto result = engine.Run(Sssp(0));
     EXPECT_TRUE(result.ok()) << result.status();
-    if (result.ok()) EXPECT_EQ(result->values, ReferenceSssp(*g, 0));
+    if (result.ok()) {
+      EXPECT_EQ(result->values, ReferenceSssp(*g, 0));
+    }
     done.store(true, std::memory_order_release);
   });
 

@@ -161,7 +161,7 @@ TEST(EnginePerfTest, PerfRunCarriesPhaseTotalsAndMemorySamples) {
   auto g = Graph::FromEdgeList(ErdosRenyi(/*n=*/200, /*m=*/800, /*seed=*/7));
   ASSERT_TRUE(g.ok());
   Graph graph = std::move(g).value();
-  RunConfig config;
+  EngineOptions config;
   config.sync_mode = SyncMode::kPartitionLocking;
   config.num_workers = 4;
   config.perf_counters = true;
@@ -200,7 +200,7 @@ TEST(EnginePerfTest, NonPerfRunStaysClean) {
   auto g = Graph::FromEdgeList(ErdosRenyi(/*n=*/100, /*m=*/300, /*seed=*/3));
   ASSERT_TRUE(g.ok());
   Graph graph = std::move(g).value();
-  RunConfig config;
+  EngineOptions config;
   config.sync_mode = SyncMode::kPartitionLocking;
   config.num_workers = 2;
   const RunStats stats = RunProgram(graph, PageRank(0.01), config);
