@@ -243,7 +243,11 @@ void PrintHelp() {
       "                                   restore from the last checkpoint\n"
       "  --max-recovery=N                 recovery attempts before giving\n"
       "                                   up (default 3)\n"
-      "  --heartbeat-timeout-ms=N         supervisor per-worker timeout\n"
+      "  --heartbeat-timeout-ms=N         watchdog failure detection: a\n"
+      "                                   runnable worker without progress\n"
+      "                                   for N ms has failed (default\n"
+      "                                   2000; with --recover or\n"
+      "                                   --fault-plan)\n"
       "  --serve-obs=PORT                 serve /metrics /healthz /statusz\n"
       "                                   /incidentz on 127.0.0.1:PORT while\n"
       "                                   the run is live (0 = pick an\n"
@@ -496,7 +500,7 @@ int main(int argc, char** argv) {
   options.fault.recover = cli.recover;
   options.fault.max_recovery_attempts = cli.max_recovery;
   if (cli.heartbeat_timeout_ms > 0) {
-    options.fault.supervisor.heartbeat_timeout_ms = cli.heartbeat_timeout_ms;
+    options.watchdog.heartbeat_timeout_ms = cli.heartbeat_timeout_ms;
   }
   if (!cli.fault_plan.empty()) {
     if (cli.fault_plan == "random") {
@@ -570,7 +574,7 @@ int main(int argc, char** argv) {
   };
   const int exit_code = run();
 
-  // An aborted run (exit 3: watchdog/supervisor) must never exit without
+  // An aborted run (exit 3: watchdog or worker failure) must never exit without
   // the incident that caused it on disk: the in-engine triggers normally
   // wrote one already, but if every automatic dump was rate-limited or
   // failed, capture a final bundle while the flight recorder still holds

@@ -26,8 +26,10 @@
 # Release and drives seeded fault-injection runs end to end — a worker
 # crash mid-superstep under each synchronization technique must recover
 # to exit 0 with a fault section in the metrics JSON, the same crash
-# without --recover must abort with exit 3, and a randomized plan under
-# --verify must still pass the serializability audit.
+# without --recover must abort with exit 3, a randomized plan under
+# --verify must still pass the serializability audit, and an injected
+# hang under --recover plus --introspect-out must be recovered by the
+# same watchdog that streams the JSONL (no deadlock reported).
 #
 # --obs-smoke skips the sanitizer suite entirely: it builds serigraph_cli
 # in Release and exercises the live telemetry plane end to end — a
@@ -145,6 +147,35 @@ EOF
     --seed=2 --sync=partition-locking --workers=3 \
     --fault-plan=random --fault-seed=7 --checkpoint-every=1 \
     --checkpoint-dir="$CHAOS_DIR" --recover --verify
+
+  # One watchdog in both roles: with --recover and --introspect-out, the
+  # same sampler must detect an injected hang through the heartbeat
+  # (recovery) while streaming wait-for snapshots without ever
+  # confirming a deadlock.
+  HANG_PLAN="$CHAOS_DIR/hang.txt"
+  printf 'hang point=engine.post_compute worker=1 hit=2\n' > "$HANG_PLAN"
+  METRICS="$CHAOS_DIR/metrics-combined.json"
+  JSONL="$CHAOS_DIR/combined.introspect.jsonl"
+  "$CLI" --algorithm=sssp --generator=erdos --vertices=300 --degree=4 \
+    --seed=2 --sync=partition-locking --workers=3 \
+    --fault-plan="$HANG_PLAN" --checkpoint-every=2 \
+    --checkpoint-dir="$CHAOS_DIR" --recover --heartbeat-timeout-ms=600 \
+    --introspect-out="$JSONL" --metrics-json="$METRICS"
+  python3 - "$METRICS" "$JSONL" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+attempts = report.get("fault", {}).get("recovery_attempts", 0)
+if attempts < 1:
+    sys.exit("chaos smoke [combined]: hang was not recovered")
+records = [json.loads(l) for l in open(sys.argv[2]) if l.strip()]
+snapshots = sum(1 for r in records if r.get("type") == "snapshot")
+if snapshots < 1:
+    sys.exit("chaos smoke [combined]: JSONL has no snapshot")
+if any(r.get("type") == "deadlock" for r in records):
+    sys.exit("chaos smoke [combined]: watchdog reported a deadlock")
+print(f"chaos smoke [combined]: recovered in {attempts} attempt(s), "
+      f"{snapshots} snapshots")
+EOF
 
   echo "check.sh: chaos smoke passed"
   exit 0

@@ -50,7 +50,7 @@ struct NetworkOptions {
 /// sequences (`net.dup_dropped`) so injected duplicates cannot corrupt
 /// fork/token protocol state, and report sequence gaps (`net.seq_gaps`)
 /// — message loss — through the loss callback, which the engine feeds to
-/// the recovery supervisor.
+/// the watchdog's failure detection.
 class Transport {
  public:
   /// Invoked outside any transport lock when a receiver observes a gap in

@@ -391,29 +391,7 @@ std::string WaitForStateJson() {
     for (int worker : cycle) w.Value(worker);
     w.EndArray();
     w.Key("summary").Value(WaitForGraphSummary(graph));
-    w.Key("beacons").BeginArray();
-    for (int i = 0; i < graph.num_workers; ++i) {
-      const BeaconSnapshot b = in.ReadBeacon(i);
-      w.BeginObject()
-          .Key("worker")
-          .Value(i)
-          .Key("phase")
-          .Value(WorkerPhaseName(b.phase))
-          .Key("superstep")
-          .Value(b.superstep)
-          .Key("phase_since_us")
-          .Value(b.phase_since_us)
-          .Key("progress_epoch")
-          .Value(static_cast<int64_t>(b.progress_epoch))
-          .Key("acquiring")
-          .Value(b.acquiring)
-          .Key("token_holder")
-          .Value(b.token_holder)
-          .Key("inbox_depth")
-          .Value(b.inbox_depth)
-          .EndObject();
-    }
-    w.EndArray();
+    w.Key("beacons").Raw(BeaconJson(in.ReadBeacons()));
   } else {
     w.Key("introspector").Value(false);
   }

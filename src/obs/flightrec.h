@@ -118,7 +118,7 @@ class FlightRecorder {
 };
 
 /// Process-wide health, fed by the watchdog (deadlock/stall
-/// confirmation), the supervisor (worker failures), and the engine
+/// confirmation; "supervisor" for worker failures), and the engine
 /// (recovery attempts, aborts). `/healthz` renders it; level is the
 /// max over currently-reported components, so clearing a component
 /// recovers the aggregate.
@@ -270,7 +270,7 @@ class IncidentManager {
   std::vector<IncidentRecord> records_ SY_GUARDED_BY(incident_mu_);
 };
 
-/// Convenience used by the watchdog, supervisor, engine, and CLI:
+/// Convenience used by the watchdog, engine, and CLI:
 /// flips health (unless `level` is kOk), records a flight-recorder
 /// instant, and writes an incident bundle if an incident dir is
 /// configured. Never throws, never fails the caller.

@@ -399,30 +399,7 @@ HttpResponse ObsServer::Statusz() const {
 
   if (Introspector::enabled()) {
     Introspector& in = Introspector::Get();
-    const int num_workers = in.num_workers();
-    w.Key("workers").BeginArray();
-    for (int i = 0; i < num_workers; ++i) {
-      const BeaconSnapshot b = in.ReadBeacon(i);
-      w.BeginObject()
-          .Key("worker")
-          .Value(i)
-          .Key("phase")
-          .Value(WorkerPhaseName(b.phase))
-          .Key("superstep")
-          .Value(b.superstep)
-          .Key("phase_since_us")
-          .Value(b.phase_since_us)
-          .Key("progress_epoch")
-          .Value(static_cast<int64_t>(b.progress_epoch))
-          .Key("acquiring")
-          .Value(b.acquiring)
-          .Key("token_holder")
-          .Value(b.token_holder)
-          .Key("inbox_depth")
-          .Value(b.inbox_depth)
-          .EndObject();
-    }
-    w.EndArray();
+    w.Key("workers").Raw(BeaconJson(in.ReadBeacons()));
     w.Key("contention_top").BeginArray();
     for (const ContentionEntry& e : in.ContentionTopK(10)) {
       w.BeginObject()

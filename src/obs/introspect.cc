@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace serigraph {
@@ -144,6 +145,19 @@ void Introspector::OnProgress(WorkerId w) {
   beacons_[w]->progress_epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
+void Introspector::EnterBlocked(WorkerId w) {
+  if (w < 0 || w >= static_cast<WorkerId>(beacons_.size())) return;
+  // mo: beacon cell; watchdog tolerates races
+  beacons_[w]->blocked.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Introspector::ExitBlocked(WorkerId w) {
+  if (w < 0 || w >= static_cast<WorkerId>(beacons_.size())) return;
+  // mo: beacon cell; watchdog tolerates races
+  beacons_[w]->blocked.fetch_sub(1, std::memory_order_relaxed);
+  OnProgress(w);
+}
+
 void Introspector::SetTokenHolder(WorkerId w, int64_t holder) {
   if (w < 0 || w >= static_cast<WorkerId>(beacons_.size())) return;
   // mo: beacon cell; watchdog tolerates races
@@ -174,6 +188,8 @@ BeaconSnapshot Introspector::ReadBeacon(WorkerId w) const {
   // mo: beacon cell; watchdog tolerates races
   snap.progress_epoch = b.progress_epoch.load(std::memory_order_relaxed);
   // mo: beacon cell; watchdog tolerates races
+  snap.blocked = b.blocked.load(std::memory_order_relaxed);
+  // mo: beacon cell; watchdog tolerates races
   snap.acquiring = b.acquiring.load(std::memory_order_relaxed);
   // mo: beacon cell; watchdog tolerates races
   snap.token_holder = b.token_holder.load(std::memory_order_relaxed);
@@ -190,6 +206,47 @@ BeaconSnapshot Introspector::ReadBeacon(WorkerId w) const {
   }
   ProbeQueues(w, &snap.inbox_depth, &snap.outbox_bytes);
   return snap;
+}
+
+std::vector<BeaconSnapshot> Introspector::ReadBeacons() const {
+  std::vector<BeaconSnapshot> beacons;
+  beacons.reserve(static_cast<size_t>(num_workers_));
+  for (int w = 0; w < num_workers_; ++w) beacons.push_back(ReadBeacon(w));
+  return beacons;
+}
+
+std::string BeaconJson(const std::vector<BeaconSnapshot>& beacons) {
+  JsonWriter w;
+  w.BeginArray();
+  for (size_t i = 0; i < beacons.size(); ++i) {
+    const BeaconSnapshot& b = beacons[i];
+    w.BeginObject()
+        .Key("worker")
+        .Value(static_cast<int64_t>(i))
+        .Key("phase")
+        .Value(WorkerPhaseName(b.phase))
+        .Key("superstep")
+        .Value(b.superstep)
+        .Key("phase_since_us")
+        .Value(b.phase_since_us)
+        .Key("progress_epoch")
+        .Value(static_cast<int64_t>(b.progress_epoch))
+        .Key("blocked")
+        .Value(b.blocked)
+        .Key("acquiring")
+        .Value(b.acquiring)
+        .Key("token_holder")
+        .Value(b.token_holder)
+        .Key("inbox_depth")
+        .Value(b.inbox_depth)
+        .Key("outbox_bytes")
+        .Value(b.outbox_bytes)
+        .Key("wait_total")
+        .Value(b.wait_total)
+        .EndObject();
+  }
+  w.EndArray();
+  return w.str();
 }
 
 WaitForGraph Introspector::BuildWaitForGraph() const {

@@ -62,9 +62,13 @@ struct BeaconSnapshot {
   int superstep = 0;
   /// Tracer::NowMicros() when the current phase was entered.
   int64_t phase_since_us = 0;
-  /// Monotonic per-worker progress counter: bumped on every vertex
-  /// execution, completed fork acquisition, and superstep completion.
+  /// Monotonic per-worker progress counter: bumped on every vertex the
+  /// frontier walk visits, completed fork acquisition, blocked-section
+  /// exit, and superstep completion. The watchdog's only progress signal.
   uint64_t progress_epoch = 0;
+  /// Nesting depth of ScopedBlocked sections (ack, fork, barrier waits):
+  /// > 0 exempts the worker from the per-worker heartbeat timeout.
+  int blocked = 0;
   /// Philosopher currently being acquired (-1 when not in kForkWait).
   int64_t acquiring = -1;
   /// Worker currently holding the global token (-1 for lock techniques).
@@ -140,8 +144,13 @@ class Introspector {
   void EndAcquire(WorkerId w, int64_t resource, int64_t wait_us,
                   bool acquired);
 
-  /// Bumps `w`'s progress epoch (vertex executed, superstep completed).
+  /// Bumps `w`'s progress epoch (vertex visited, superstep completed).
   void OnProgress(WorkerId w);
+
+  /// Brackets a legitimate long wait (ack, fork acquisition, barrier);
+  /// nestable. Use ScopedBlocked. Exit counts as progress.
+  void EnterBlocked(WorkerId w);
+  void ExitBlocked(WorkerId w);
 
   void SetTokenHolder(WorkerId w, int64_t holder);
 
@@ -152,6 +161,8 @@ class Introspector {
   // --- watchdog-side reads --------------------------------------------
 
   BeaconSnapshot ReadBeacon(WorkerId w) const;
+  /// ReadBeacon for every worker, indexed by worker id.
+  std::vector<BeaconSnapshot> ReadBeacons() const;
 
   /// Assembles the instantaneous wait-for graph from all beacons
   /// currently in kForkWait.
@@ -199,6 +210,7 @@ class Introspector {
     std::atomic<int> superstep{0};
     std::atomic<int64_t> phase_since_us{0};
     std::atomic<uint64_t> progress_epoch{0};
+    std::atomic<int> blocked{0};
     std::atomic<int64_t> acquiring{-1};
     std::atomic<int64_t> token_holder{-1};
     std::atomic<int> wait_count{0};
@@ -239,6 +251,29 @@ class Introspector {
   mutable sy::Mutex abort_mu_;
   std::string abort_reason_ SY_GUARDED_BY(abort_mu_);
 };
+
+/// RAII blocked-section marker for worker `w`; a no-op while the
+/// introspector is disabled (decided once, at entry).
+class ScopedBlocked {
+ public:
+  explicit ScopedBlocked(WorkerId w)
+      : worker_(Introspector::enabled() ? w : -1) {
+    if (worker_ >= 0) Introspector::Get().EnterBlocked(worker_);
+  }
+  ~ScopedBlocked() {
+    if (worker_ >= 0) Introspector::Get().ExitBlocked(worker_);
+  }
+
+  ScopedBlocked(const ScopedBlocked&) = delete;
+  ScopedBlocked& operator=(const ScopedBlocked&) = delete;
+
+ private:
+  WorkerId worker_;
+};
+
+/// Renders beacon snapshots (index = worker id) as the JSON array shared
+/// by /statusz, incident bundles, and the watchdog JSONL.
+std::string BeaconJson(const std::vector<BeaconSnapshot>& beacons);
 
 }  // namespace serigraph
 

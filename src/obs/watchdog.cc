@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/flightrec.h"
@@ -10,9 +11,14 @@
 
 namespace serigraph {
 
+namespace {
+/// Rows kept in the end-of-run contention tables (as on /statusz).
+constexpr int kTopK = 10;
+}  // namespace
+
 void Watchdog::Start() {
   if (running_.load(std::memory_order_acquire)) return;
-  if (!options_.jsonl_path.empty()) {
+  if (introspect_ && !options_.jsonl_path.empty()) {
     jsonl_.open(options_.jsonl_path, std::ios::out | std::ios::trunc);
     if (!jsonl_.is_open()) {
       SG_LOG(kWarning) << "watchdog: cannot open JSONL log "
@@ -24,6 +30,8 @@ void Watchdog::Start() {
   prev_cycle_epochs_.clear();
   last_progress_sum_ = 0;
   last_progress_change_us_ = Tracer::NowMicros();
+  liveness_.assign(static_cast<size_t>(Introspector::Get().num_workers()),
+                   Liveness{0, last_progress_change_us_});
   stall_active_ = false;
   deadlock_reported_ = false;
   {
@@ -35,6 +43,7 @@ void Watchdog::Start() {
 }
 
 void Watchdog::Stop() {
+  stopped_.store(true, std::memory_order_release);
   if (!running_.load(std::memory_order_acquire)) return;
   {
     sy::MutexLock lock(&stop_mu_);
@@ -42,12 +51,15 @@ void Watchdog::Stop() {
   }
   stop_cv_.NotifyAll();
   thread_.join();
-  // The final sample guarantees >= 1 snapshot even for runs shorter than
-  // one period, and freezes the contention tables into the summary.
-  Sample(/*final_sample=*/true);
-  Introspector& in = Introspector::Get();
-  summary_.top_contention = in.ContentionTopK(options_.top_k);
-  summary_.top_edges = in.EdgeContentionTopK(options_.top_k);
+  if (introspect_) {
+    // The final sample guarantees >= 1 snapshot even for runs shorter
+    // than one period, and freezes the contention tables into the
+    // summary.
+    Sample(/*final_sample=*/true);
+    Introspector& in = Introspector::Get();
+    summary_.top_contention = in.ContentionTopK(kTopK);
+    summary_.top_edges = in.EdgeContentionTopK(kTopK);
+  }
   if (jsonl_.is_open()) jsonl_.close();
   running_.store(false, std::memory_order_release);
 }
@@ -74,16 +86,14 @@ void Watchdog::Loop() {
 
 void Watchdog::Sample(bool final_sample) {
   Introspector& in = Introspector::Get();
-  const int num_workers = in.num_workers();
   const int64_t t_us = Tracer::NowMicros();
+  const std::vector<BeaconSnapshot> beacons = in.ReadBeacons();
+  if (on_failure_ != nullptr) CheckLiveness(beacons, t_us);
+  if (!introspect_) return;
 
-  std::vector<BeaconSnapshot> beacons;
-  beacons.reserve(num_workers);
+  const int num_workers = static_cast<int>(beacons.size());
   uint64_t progress_sum = 0;
-  for (int w = 0; w < num_workers; ++w) {
-    beacons.push_back(in.ReadBeacon(w));
-    progress_sum += beacons.back().progress_epoch;
-  }
+  for (const BeaconSnapshot& b : beacons) progress_sum += b.progress_epoch;
   if (progress_sum != last_progress_sum_) {
     last_progress_sum_ = progress_sum;
     last_progress_change_us_ = t_us;
@@ -176,22 +186,7 @@ void Watchdog::WriteSnapshotJson(const std::vector<BeaconSnapshot>& beacons,
   json.Key("type").Value("snapshot");
   json.Key("t_us").Value(t_us);
   json.Key("final").Value(final_sample);
-  json.Key("workers").BeginArray();
-  for (size_t w = 0; w < beacons.size(); ++w) {
-    const BeaconSnapshot& b = beacons[w];
-    json.BeginObject();
-    json.Key("w").Value(static_cast<int64_t>(w));
-    json.Key("phase").Value(WorkerPhaseName(b.phase));
-    json.Key("superstep").Value(static_cast<int64_t>(b.superstep));
-    json.Key("progress_epoch").Value(static_cast<int64_t>(b.progress_epoch));
-    json.Key("acquiring").Value(b.acquiring);
-    json.Key("token_holder").Value(b.token_holder);
-    json.Key("inbox_depth").Value(b.inbox_depth);
-    json.Key("outbox_bytes").Value(b.outbox_bytes);
-    json.Key("wait_total").Value(static_cast<int64_t>(b.wait_total));
-    json.EndObject();
-  }
-  json.EndArray();
+  json.Key("workers").Raw(BeaconJson(beacons));
   json.Key("wait_for").Raw(WaitForEdgesJson(graph));
   json.Key("cycle").BeginArray();
   for (int w : cycle) json.Value(static_cast<int64_t>(w));
@@ -226,6 +221,69 @@ void Watchdog::ReportIncident(const std::string& type,
   // tears the run down (no-op unless an incident dir is configured).
   FlightRecorder::RecordInstant("watchdog.incident");
   TriggerIncidentDump("watchdog-" + type, detail, HealthLevel::kUnhealthy);
+}
+
+void Watchdog::CheckLiveness(const std::vector<BeaconSnapshot>& beacons,
+                             int64_t t_us) {
+  if (failed_.load(std::memory_order_acquire)) return;
+  int stalest_worker = -1;
+  int64_t stalest_ms = -1;
+  bool all_stalled = !beacons.empty();
+  for (size_t w = 0; w < beacons.size(); ++w) {
+    Liveness& live = liveness_[w];
+    if (beacons[w].progress_epoch != live.progress) {
+      live.progress = beacons[w].progress_epoch;
+      live.since_us = t_us;
+    }
+    const int64_t idle_ms = (t_us - live.since_us) / 1000;
+    if (beacons[w].blocked == 0 && idle_ms > options_.heartbeat_timeout_ms) {
+      Fail(static_cast<int>(w),
+           "worker " + std::to_string(w) + " unresponsive for " +
+               std::to_string(idle_ms) + " ms (runnable, no progress)");
+      return;
+    }
+    if (idle_ms <= options_.global_stall_timeout_ms) all_stalled = false;
+    if (idle_ms > stalest_ms) {
+      stalest_ms = idle_ms;
+      stalest_worker = static_cast<int>(w);
+    }
+  }
+  if (all_stalled) {
+    Fail(stalest_worker,
+         "global stall: no worker made progress for " +
+             std::to_string(stalest_ms) + " ms (stalest: worker " +
+             std::to_string(stalest_worker) + ")");
+  }
+}
+
+void Watchdog::Fail(int worker, std::string reason) {
+  if (on_failure_ == nullptr || stopped_.load(std::memory_order_acquire) ||
+      failed_.exchange(true, std::memory_order_acq_rel)) {
+    return;
+  }
+  SG_LOG(kWarning) << "watchdog: " << reason;
+  // Mark the process degraded (recovery may still succeed and clear
+  // this) and capture an incident bundle while the pre-failure
+  // flight-recorder tail is still warm.
+  FlightRecorder::RecordInstant("supervisor.failure");
+  TriggerIncidentDump("supervisor", reason, HealthLevel::kDegraded);
+  on_failure_(FailureReport{worker, std::move(reason)});
+}
+
+void Watchdog::ReportDeath(int worker, const std::string& reason) {
+  Fail(worker, "worker " + std::to_string(worker) + " died: " + reason);
+}
+
+void Watchdog::ReportLoss(int src, int dst, uint64_t expected, uint64_t got) {
+  Fail(src, "message loss on link " + std::to_string(src) + "->" +
+                std::to_string(dst) + " (expected seq " +
+                std::to_string(expected) + ", got " + std::to_string(got) +
+                ")");
+}
+
+void Watchdog::ReportProtocolViolation(int worker, const std::string& reason) {
+  Fail(worker, "protocol violation on worker " + std::to_string(worker) +
+                   ": " + reason);
 }
 
 }  // namespace serigraph

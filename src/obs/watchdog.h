@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,19 +17,31 @@
 namespace serigraph {
 
 struct WatchdogOptions {
-  /// Sampling period. Each tick reads all beacons, assembles the wait-for
-  /// graph, and appends one JSONL snapshot (if jsonl_path is set).
+  /// Sampling period of every check. Each tick reads all beacons; with
+  /// introspection it also assembles the wait-for graph and appends one
+  /// JSONL snapshot (if jsonl_path is set). 10 ms false-positives
+  /// deadlock confirmation under TSan.
   int period_ms = 25;
   /// A worker blocked longer than this with no global progress is a stall.
   int stall_ms = 2000;
   /// Convert a confirmed stall or deadlock into Introspector::RequestAbort
   /// so the engine fails the run cleanly instead of hanging.
   bool abort_on_stall = false;
-  /// Rows kept in the end-of-run contention tables.
-  int top_k = 10;
   /// JSONL event-log destination; empty disables streaming (snapshots are
   /// still taken for stall/deadlock detection and the final summary).
   std::string jsonl_path;
+  /// Failure detection: a runnable worker (blocked == 0) whose progress
+  /// epoch has not moved for this long is declared hung.
+  int64_t heartbeat_timeout_ms = 2000;
+  /// Failure detection: no worker, blocked or not, made progress for
+  /// this long; the stalest is blamed. Catches hangs inside blocked
+  /// sections and lost flush/ack markers.
+  int64_t global_stall_timeout_ms = 10000;
+};
+
+struct FailureReport {
+  int worker = -1;
+  std::string reason;
 };
 
 /// End-of-run digest of what the watchdog saw, merged into the run report.
@@ -44,7 +57,19 @@ struct WatchdogSummary {
   std::vector<EdgeContentionEntry> top_edges;
 };
 
-/// Background sampler over the Introspector's beacons.
+/// The run's one liveness monitor: a background sampler over the
+/// Introspector's beacons serving two roles, each enabled separately.
+///
+/// Introspection (`introspect`): stall and deadlock detection, the JSONL
+/// event log, and the end-of-run summary.
+///
+/// Failure detection (`on_failure` set, i.e. fault tolerance is on), for
+/// the engine's recovery loop (docs/FAULT_TOLERANCE.md). Channels,
+/// fastest first: ReportDeath (a crash handler names the dead worker),
+/// ReportLoss (a link-sequence gap), ReportProtocolViolation, then the
+/// sampled heartbeat and global-stall timeouts over each beacon's
+/// progress epoch and blocked count. The first failure wins; reports
+/// after Stop() are ignored.
 ///
 /// Deadlock policy: Chandy-Misra's hygienic protocol is deadlock-free, so
 /// a wait-for cycle observed in one sample is expected (forks are in
@@ -58,7 +83,15 @@ struct WatchdogSummary {
 /// sample so even sub-period runs produce at least one snapshot.
 class Watchdog {
  public:
-  explicit Watchdog(WatchdogOptions options) : options_(std::move(options)) {}
+  /// Invoked exactly once, on the first detected failure, with no
+  /// watchdog lock held (it may take engine locks).
+  using FailureCallback = std::function<void(const FailureReport&)>;
+
+  explicit Watchdog(WatchdogOptions options, FailureCallback on_failure = {},
+                    bool introspect = true)
+      : options_(std::move(options)),
+        on_failure_(std::move(on_failure)),
+        introspect_(introspect) {}
   ~Watchdog() { Stop(); }
 
   Watchdog(const Watchdog&) = delete;
@@ -79,6 +112,17 @@ class Watchdog {
 
   const WatchdogOptions& options() const { return options_; }
 
+  bool detects_failures() const { return on_failure_ != nullptr; }
+
+  /// Immediate failure: the worker is known dead (injected crash).
+  void ReportDeath(int worker, const std::string& reason);
+  /// Immediate failure: the transport saw a sequence gap on src->dst.
+  void ReportLoss(int src, int dst, uint64_t expected, uint64_t got);
+  /// Immediate failure: a protocol invariant broke in a way only a lost
+  /// or corrupt message can produce (a fork request for a fork whose
+  /// transfer vanished, an undecodable data batch).
+  void ReportProtocolViolation(int worker, const std::string& reason);
+
  private:
   void Loop();
   /// One sampling tick; `final_sample` marks the Stop() sample in the log.
@@ -91,8 +135,17 @@ class Watchdog {
                          const WaitForGraph& graph, int64_t t_us);
   void ReportIncident(const std::string& type, const std::string& detail,
                       const WaitForGraph& graph, int64_t t_us);
+  /// Heartbeat and global-stall timeouts over one tick's beacons.
+  void CheckLiveness(const std::vector<BeaconSnapshot>& beacons,
+                     int64_t t_us);
+  /// First failure wins; later calls (and any call after Stop) are no-ops.
+  void Fail(int worker, std::string reason);
 
-  WatchdogOptions options_;
+  const WatchdogOptions options_;
+  const FailureCallback on_failure_;
+  const bool introspect_;
+  std::atomic<bool> failed_{false};
+  std::atomic<bool> stopped_{false};
 
   std::thread thread_;
   /// Atomic: running() may be polled from any thread while Start()/Stop()
@@ -111,6 +164,12 @@ class Watchdog {
   int64_t last_progress_change_us_ = 0;
   bool stall_active_ = false;
   bool deadlock_reported_ = false;
+  /// Per worker: last progress epoch seen and when it last changed.
+  struct Liveness {
+    uint64_t progress = 0;
+    int64_t since_us = 0;
+  };
+  std::vector<Liveness> liveness_;
 
   WatchdogSummary summary_;
 };

@@ -24,7 +24,6 @@
 #include "common/threading.h"
 #include "common/timer.h"
 #include "fault/fault.h"
-#include "fault/supervisor.h"
 #include "graph/graph.h"
 #include "graph/partitioning.h"
 #include "net/transport.h"
@@ -812,27 +811,36 @@ class Engine {
   /// returns, so a control message queued behind the batch (a fork
   /// handover) is handled only after every delivery in it was recorded.
   void ApplyDataBatch(WorkerState& worker, const WireMessage& wire) {
-    BufferReader reader(wire.payload);
     auto& buckets = worker.batch_buckets;
     auto& deliveries = worker.batch_deliveries;
     auto& touched = worker.batch_touched;
     int64_t decoded = 0;
-    while (!reader.AtEnd()) {
-      uint64_t dst_raw = 0, src_raw = 0, version = 0;
-      Message message{};
-      SG_CHECK(reader.ReadVarint(&dst_raw));
-      SG_CHECK(reader.ReadVarint(&src_raw));
-      SG_CHECK(reader.ReadVarint(&version));
-      SG_CHECK(MessageCodec<Message>::Decode(reader, &message));
-      const VertexId dst = static_cast<VertexId>(dst_raw);
-      const PartitionId p = partitioning_.PartitionOf(dst);
-      if (buckets[p].empty()) touched.push_back(p);
-      buckets[p].emplace_back(local_index_[dst], std::move(message));
-      if (recorder_ != nullptr) {
-        deliveries[p].emplace_back(static_cast<VertexId>(src_raw), dst,
-                                   version);
+    const Status status = DecodeDataBatch<Message>(
+        wire.payload, partitioning_.num_vertices(),
+        [&](VertexId dst) {
+          const PartitionId p = partitioning_.PartitionOf(dst);
+          return partitioning_.WorkerOfPartition(p) == worker.id
+                     ? p
+                     : kInvalidPartition;
+        },
+        [&](PartitionId p, VertexId dst, VertexId src, uint64_t version,
+            Message&& message) {
+          if (buckets[p].empty()) touched.push_back(p);
+          buckets[p].emplace_back(local_index_[dst], std::move(message));
+          if (recorder_ != nullptr) {
+            deliveries[p].emplace_back(src, dst, version);
+          }
+          ++decoded;
+        });
+    if (!status.ok()) {
+      // A malformed batch is dropped whole and fails the attempt.
+      for (PartitionId p : touched) {
+        buckets[p].clear();
+        deliveries[p].clear();
       }
-      ++decoded;
+      touched.clear();
+      OnProtocolViolation(worker.id, status.message());
+      return;
     }
     const auto t0 = std::chrono::steady_clock::now();
     for (PartitionId p : touched) {
@@ -931,7 +939,7 @@ class Engine {
       transport_->Send(std::move(marker));
     }
     if (skip_ack_wait) return;
-    ScopedBlocked blocked(supervisor_.get(), worker.id);
+    ScopedBlocked blocked(worker.id);
     sy::MutexLock lock(&worker.ack_mu);
     // Under fault injection the confirmation may never arrive (the
     // marker, the ack, or the peer itself can be a casualty); wait in
@@ -943,7 +951,7 @@ class Engine {
   }
 
   /// True once this attempt cannot complete: a failure was detected
-  /// (supervisor / crash handler) or this very worker "died". Workers
+  /// (watchdog / crash handler) or this very worker "died". Workers
   /// poll this at superstep boundaries and in sliced waits to unwind.
   bool AttemptAborted(const WorkerState& worker) const {
     return attempt_failed_.load(std::memory_order_acquire) ||
@@ -960,7 +968,6 @@ class Engine {
                                const Program& program, VertexId v,
                                int superstep, LocalAggregates& aggregates,
                                SendStaging* staging) {
-    if (Introspector::enabled()) Introspector::Get().OnProgress(worker.id);
     // BSP consumes a zero-copy span of the partition's flat buffer (no
     // lock); AP detaches the arrival chain into this per-thread scratch.
     thread_local std::vector<Message> scratch;
@@ -1073,12 +1080,11 @@ class Engine {
   }
 
   /// Liveness probe shared by the frontier walk and WorkerLoop's fault
-  /// points: a supervisor heartbeat, then the injected fault at
-  /// `fault_point` (if any), then the attempt-abort check. False means
-  /// this worker must unwind. Without fault tolerance there is no
-  /// supervisor and no attempt ever aborts.
+  /// points: a heartbeat (a progress-epoch bump, when the beacons are
+  /// on), then the injected fault at `fault_point` (if any), then the
+  /// attempt-abort check. False means this worker must unwind.
   bool Alive(WorkerState& worker, const char* fault_point = nullptr) {
-    if (supervisor_ != nullptr) supervisor_->Beat(worker.id);
+    if (Introspector::enabled()) Introspector::Get().OnProgress(worker.id);
     if (fault_point != nullptr && SG_FAULT_POINT(fault_point, worker.id)) {
       return false;
     }
@@ -1150,8 +1156,8 @@ class Engine {
           SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kForkWait);
           const int64_t t0 = Tracer::NowMicros();
           // Fork waits are legitimate long blocks; exempt them from the
-          // supervisor's runnable-worker timeout.
-          ScopedBlocked blocked(supervisor_.get(), worker.id);
+          // watchdog's runnable-worker timeout.
+          ScopedBlocked blocked(worker.id);
           const bool acquired = technique_->AcquirePartition(worker.id, p);
           RecordForkWait(worker, Tracer::NowMicros() - t0);
           if (!acquired) return;  // watchdog abort: lock NOT held
@@ -1170,7 +1176,7 @@ class Engine {
             SG_TRACE_SPAN("sync.fork_acquire");
             SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kForkWait);
             const int64_t t0 = Tracer::NowMicros();
-            ScopedBlocked blocked(supervisor_.get(), worker.id);
+            ScopedBlocked blocked(worker.id);
             const bool acquired = technique_->AcquireVertex(worker.id, v);
             RecordForkWait(worker, Tracer::NowMicros() - t0);
             if (!acquired) return false;  // watchdog abort: lock NOT held
@@ -1623,11 +1629,11 @@ class Engine {
     fork_wait_hist_->Record(wait_us);
   }
 
-  /// Barrier await with the supervisor told this is a legitimate block
-  /// (exempt from the runnable-worker timeout). Returns false immediately
-  /// on a broken barrier (failure detected mid-attempt).
+  /// Barrier await marked as a legitimate block (exempt from the
+  /// watchdog's runnable-worker timeout). Returns false immediately on a
+  /// broken barrier (failure detected mid-attempt).
   bool AwaitBarrier(WorkerState& worker) {
-    ScopedBlocked blocked(supervisor_.get(), worker.id);
+    ScopedBlocked blocked(worker.id);
     return barrier_->Await();
   }
 
@@ -1664,7 +1670,7 @@ class Engine {
             std::chrono::microseconds(options_.superstep_overhead_us));
       }
       // A fired crash/hang makes Alive() false: this worker "dies" here.
-      // The crash handler has already told the supervisor, which breaks
+      // The crash handler has already told the watchdog, which breaks
       // the barrier so the surviving workers unwind too.
       if (probes_active_ && !Alive(worker, "engine.superstep_start")) break;
       technique_->OnSuperstepStart(worker.id, superstep);
@@ -1866,6 +1872,7 @@ class Engine {
   /// Set (only inside barrier serial sections) when the watchdog's abort
   /// request was honored; Run() then returns Status::Aborted.
   bool aborted_ = false;
+  /// The attempt's liveness monitor; non-null whenever the beacons are on.
   std::unique_ptr<Watchdog> watchdog_;
   std::string last_checkpoint_path_;
 
@@ -1879,32 +1886,45 @@ class Engine {
 
   /// Injected-crash handler, invoked by the FaultInjector on the dying
   /// worker's own thread with no injector lock held. Marks the worker
-  /// dead and routes detection through the supervisor (immediate).
+  /// dead and routes detection through the watchdog (immediate).
   void OnWorkerCrash(int worker, const char* point) {
     if (worker >= 0 && worker < static_cast<int>(worker_dead_.size())) {
       // mo: death flag; read is advisory
       worker_dead_[worker].store(1, std::memory_order_relaxed);
     }
-    if (supervisor_ != nullptr) {
-      supervisor_->ReportDeath(worker, std::string("worker ") +
-                                           std::to_string(worker) +
-                                           " crashed at " + point);
+    if (watchdog_ != nullptr) {
+      watchdog_->ReportDeath(worker, std::string("worker ") +
+                                         std::to_string(worker) +
+                                         " crashed at " + point);
     }
   }
 
-  /// First-failure callback from the supervisor (monitor thread, or the
-  /// dying worker's thread via ReportDeath). Poisons the attempt and
-  /// unblocks every wait a worker could be parked in: barrier (Break),
-  /// fork acquisition (introspector abort), injected hangs
-  /// (ReleaseHangs), ack waits (sliced, poll the flag).
+  /// A lost or corrupt message broke a protocol invariant on `w`: a
+  /// recoverable failure through the watchdog when it detects failures,
+  /// otherwise straight into the unwind path (Run returns Aborted).
+  void OnProtocolViolation(WorkerId w, const std::string& what) {
+    if (watchdog_ != nullptr && watchdog_->detects_failures()) {
+      watchdog_->ReportProtocolViolation(w, what);
+      return;
+    }
+    OnWorkerFailure({w, "protocol violation on worker " + std::to_string(w) +
+                            ": " + what});
+  }
+
+  /// First-failure callback from the watchdog (its sampler thread, or
+  /// the reporting thread via Report*), or a direct protocol-violation
+  /// report. Poisons the attempt and unblocks every wait a worker could
+  /// be parked in: barrier (Break), fork acquisition (introspector
+  /// abort), injected hangs (ReleaseHangs), ack waits (sliced, poll the
+  /// flag). Later failures of the same attempt are dropped.
   void OnWorkerFailure(const FailureReport& report) {
+    if (attempt_failed_.exchange(true, std::memory_order_acq_rel)) return;
     {
       sy::MutexLock lock(&recovery_mu_);
       failure_reason_ = report.reason;
       recovery_events_.push_back("failure detected: " + report.reason);
     }
     worker_failures_->Increment();
-    attempt_failed_.store(true, std::memory_order_release);
     if (Introspector::enabled()) {
       Introspector::Get().RequestAbort(report.reason);
     }
@@ -1914,14 +1934,13 @@ class Engine {
 
   /// True when fault injection or recovery is on, or under a serichk
   /// scheduler, where the SG_FAULT_POINT probes in WorkerLoop fire as
-  /// schedule points without arming the fault machinery (no supervisor,
+  /// schedule points without arming the fault machinery (no watchdog,
   /// no introspector). Fixed before workers start.
   bool probes_active_ = false;
   /// Poisons the current attempt; set by OnWorkerFailure.
   std::atomic<bool> attempt_failed_{false};
   /// Per-worker death marks (injected crashes), reset every attempt.
   std::vector<std::atomic<uint8_t>> worker_dead_;
-  std::unique_ptr<Supervisor> supervisor_;
   /// Guards the recovery bookkeeping written from failure callbacks and
   /// read by the driver between attempts. Leaf (docs/LOCK_ORDER.md).
   mutable sy::Mutex recovery_mu_;
@@ -2157,8 +2176,8 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   }
 
   // The introspector doubles as the abort channel that unblocks fork
-  // acquisition waits, so fault-tolerant runs force it on even without
-  // options_.introspect (the watchdog stays opt-in).
+  // acquisition waits and carries the watchdog's heartbeats, so
+  // fault-tolerant runs force it on even without options_.introspect.
   const bool use_introspector = options_.introspect || fault_active;
   double total_seconds = 0.0;
   std::string abort_reason;
@@ -2194,13 +2213,11 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
       // A dropped control message can leave the fork protocol in a state
       // its invariants reject (e.g. a request for a fork whose transfer
       // vanished) *before* the link-sequence gap surfaces. Route such
-      // violations to the supervisor as an immediate recoverable failure
+      // violations to the watchdog as an immediate recoverable failure
       // instead of letting the technique's fatal checks kill the process.
       tech_ctx.on_protocol_violation = [this](WorkerId w,
                                               const std::string& what) {
-        if (supervisor_ != nullptr) {
-          supervisor_->ReportProtocolViolation(w, what);
-        }
+        OnProtocolViolation(w, what);
       };
     }
     SERIGRAPH_RETURN_IF_ERROR(technique_->Init(tech_ctx));
@@ -2208,15 +2225,13 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     transport_ = std::make_unique<Transport>(num_workers, options_.network,
                                              &metrics_);
     if (fault_active) {
-      // Loss reports (link sequence gaps) route to the supervisor; set
-      // before any comm thread runs. The supervisor ignores reports
-      // after Stop(), so gaps noticed while draining a clean teardown
-      // cannot fail a finished attempt.
+      // Loss reports (link sequence gaps) route to the watchdog; set
+      // before any comm thread runs. The watchdog ignores reports after
+      // Stop(), so gaps noticed while draining a clean teardown cannot
+      // fail a finished attempt.
       transport_->SetLossCallback([this](WorkerId src, WorkerId dst,
                                          uint64_t expected, uint64_t got) {
-        if (supervisor_ != nullptr) {
-          supervisor_->ReportLoss(src, dst, expected, got);
-        }
+        watchdog_->ReportLoss(src, dst, expected, got);
       });
     }
 
@@ -2302,10 +2317,19 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     for (auto& worker : workers_) {
       technique_->BindWorker(worker->id, worker.get());
     }
-    if (fault_active) {
-      supervisor_ = std::make_unique<Supervisor>(
-          num_workers, options_.fault.supervisor,
-          [this](const FailureReport& report) { OnWorkerFailure(report); });
+    // One liveness monitor per attempt, whenever the beacons are on. It
+    // exists before the comm threads so their failure reports always
+    // find it, and starts once the introspector is configured.
+    watchdog_.reset();
+    if (use_introspector) {
+      Watchdog::FailureCallback on_failure;
+      if (fault_active) {
+        on_failure = [this](const FailureReport& report) {
+          OnWorkerFailure(report);
+        };
+      }
+      watchdog_ = std::make_unique<Watchdog>(
+          options_.watchdog, std::move(on_failure), options_.introspect);
     }
     for (auto& worker : workers_) {
       WorkerState* ws = worker.get();
@@ -2333,12 +2357,8 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
         *outbox_bytes = bytes;
       });
       in.Enable();
-      if (options_.introspect) {
-        watchdog_ = std::make_unique<Watchdog>(options_.watchdog);
-        watchdog_->Start();
-      }
+      watchdog_->Start();
     }
-    if (supervisor_ != nullptr) supervisor_->Start();
 
     // --- computation phase --------------------------------------------
     WallTimer timer;
@@ -2355,13 +2375,12 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     total_seconds += timer.ElapsedSeconds();
 
     // --- attempt teardown ---------------------------------------------
-    // Supervisor first (worker threads are joined, so no failure report
+    // Watchdog first (worker threads are joined, so no failure report
     // can be mid-flight except from comm threads — which Stop() makes
-    // no-ops). Then the watchdog, before the transport dies: its final
-    // sample probes the transport's inbox depths via the queue probe.
-    if (supervisor_ != nullptr) supervisor_->Stop();
+    // no-ops), and before the transport dies: its final sample probes
+    // the transport's inbox depths via the queue probe.
     if (use_introspector) {
-      if (watchdog_ != nullptr) watchdog_->Stop();
+      watchdog_->Stop();
       Introspector& in = Introspector::Get();
       abort_reason = in.abort_reason();
       in.ClearQueueProbe();
@@ -2375,7 +2394,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
 
     if (!attempt_failed_.load(std::memory_order_acquire)) {
       // A clean finish absorbs earlier failures: recovery worked, so the
-      // degraded mark the supervisor raised no longer describes us.
+      // degraded mark the watchdog raised no longer describes us.
       HealthState::Get().ClearComponent("supervisor");
       break;
     }
@@ -2443,7 +2462,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   result.stats.metrics = metrics_.Snapshot();
   result.stats.metrics["pregel.supersteps"] = supersteps_done_;
   result.stats.timeline = timeline_->Collect();
-  if (watchdog_ != nullptr) {
+  if (options_.introspect) {
     const WatchdogSummary& wd = watchdog_->summary();
     result.stats.resource_kind = Introspector::Get().resource_kind();
     result.stats.contention = wd.top_contention;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "fault/fault.h"
-#include "fault/supervisor.h"
 #include "net/transport.h"
 #include "obs/memprof.h"
 #include "obs/timeline.h"
@@ -38,10 +37,10 @@ enum class PartitionScheme {
 
 /// Fault injection + in-engine recovery configuration
 /// (docs/FAULT_TOLERANCE.md). `plan` arms the process-wide FaultInjector
-/// for the duration of the run; `recover` turns on the heartbeat
-/// supervisor and the engine's restore-and-resume loop. Either one
-/// activates failure detection; with neither, the engine adds zero
-/// overhead (one disarmed atomic load per probe).
+/// for the duration of the run; `recover` turns on the engine's
+/// restore-and-resume loop. Either one activates failure detection in
+/// the watchdog (thresholds in EngineOptions::watchdog); with neither,
+/// the engine adds zero overhead (one disarmed atomic load per probe).
 struct FaultToleranceOptions {
   /// Events to inject, reproducible from the plan text alone.
   FaultPlan plan;
@@ -58,8 +57,6 @@ struct FaultToleranceOptions {
   /// Bounded retry + backoff for checkpoint writes (satellite of the
   /// previously-swallowed WriteCheckpoint failure).
   RetryPolicy checkpoint_retry;
-  /// Heartbeat supervisor thresholds.
-  SupervisorOptions supervisor;
 
   /// True when the run needs failure detection at all.
   bool Active() const { return recover || !plan.empty(); }
@@ -158,8 +155,10 @@ struct EngineOptions {
   /// fork-contention profile in RunStats. Off by default; when off the
   /// hooks cost one relaxed atomic load each.
   bool introspect = false;
-  /// Watchdog configuration (sampling period, stall threshold, JSONL
-  /// event-log path, opt-in stall abort). Used only when `introspect`.
+  /// The liveness monitor's configuration: sampling period, stall
+  /// threshold, JSONL event-log path, opt-in stall abort (used when
+  /// `introspect`), and the failure-detection timeouts (used when
+  /// fault.Active()).
   WatchdogOptions watchdog;
 
   /// Stream one JSONL line per superstep (superstep, active vertices,

@@ -1,6 +1,7 @@
 // Engine robustness on degenerate inputs: empty graphs, isolated
-// vertices, more workers than vertices, graphs with a single vertex, and
-// checkpointing under asynchronous serializable execution.
+// vertices, more workers than vertices, graphs with a single vertex,
+// checkpointing under asynchronous serializable execution, and malformed
+// wire data batches.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "algos/sssp.h"
 #include "graph/generators.h"
 #include "pregel/engine.h"
+#include "pregel/message_codec.h"
 
 namespace serigraph {
 namespace {
@@ -151,6 +153,89 @@ TEST(EngineEdgeCasesTest, CheckpointUnderAsyncPartitionLocking) {
   EXPECT_TRUE(resumed->stats.converged);
   EXPECT_LT(MaxAbsDifference(resumed->values, first->values), 0.05);
   std::remove(writer.last_checkpoint_path().c_str());
+}
+
+// --- wire data-batch decode -----------------------------------------
+
+// One record as the engine's send path encodes it.
+void AppendRecord(BufferWriter& w, uint64_t dst, int64_t message) {
+  w.WriteVarint(dst);
+  w.WriteVarint(3);  // src
+  w.WriteVarint(0);  // version
+  MessageCodec<int64_t>::Encode(w, message);
+}
+
+struct DecodedBatch {
+  Status status;
+  std::vector<std::pair<VertexId, int64_t>> records;
+};
+
+// Decodes for a receiver in a 10-vertex graph that owns vertices 0..4
+// (all in partition 1).
+DecodedBatch Decode(const std::vector<uint8_t>& payload) {
+  DecodedBatch out;
+  out.status = DecodeDataBatch<int64_t>(
+      payload, 10,
+      [](VertexId v) { return v < 5 ? PartitionId{1} : kInvalidPartition; },
+      [&](PartitionId p, VertexId dst, VertexId src, uint64_t version,
+          int64_t&& message) {
+        EXPECT_EQ(p, 1);
+        EXPECT_EQ(src, 3);
+        EXPECT_EQ(version, 0u);
+        out.records.emplace_back(dst, message);
+      });
+  return out;
+}
+
+TEST(WireDecodeTest, WellFormedBatchDecodesEveryRecord) {
+  BufferWriter w;
+  AppendRecord(w, 0, -1);
+  AppendRecord(w, 4, 1LL << 40);
+  const DecodedBatch batch = Decode(w.data());
+  ASSERT_TRUE(batch.status.ok()) << batch.status;
+  ASSERT_EQ(batch.records.size(), 2u);
+  EXPECT_EQ(batch.records[1], std::make_pair(VertexId{4}, int64_t{1} << 40));
+}
+
+TEST(WireDecodeTest, RejectsTruncatedVarint) {
+  BufferWriter w;
+  AppendRecord(w, 1, 5);
+  w.WriteU8(0x80);  // continuation bit, then the payload ends
+  const DecodedBatch batch = Decode(w.data());
+  EXPECT_EQ(batch.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(batch.status.message().find("truncated varint"),
+            std::string::npos)
+      << batch.status;
+}
+
+TEST(WireDecodeTest, RejectsTruncatedMessage) {
+  BufferWriter w;
+  AppendRecord(w, 1, 5);
+  std::vector<uint8_t> payload = w.data();
+  payload.pop_back();  // last record loses a message byte
+  const DecodedBatch batch = Decode(payload);
+  EXPECT_EQ(batch.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(batch.status.message().find("truncated message"),
+            std::string::npos)
+      << batch.status;
+}
+
+TEST(WireDecodeTest, RejectsOutOfRangeAndUnownedDst) {
+  for (uint64_t dst : {uint64_t{10}, uint64_t{1} << 62, ~uint64_t{0}}) {
+    BufferWriter w;
+    AppendRecord(w, dst, 5);
+    const DecodedBatch batch = Decode(w.data());
+    EXPECT_EQ(batch.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(batch.status.message().find("out of range"), std::string::npos)
+        << batch.status;
+    EXPECT_TRUE(batch.records.empty());
+  }
+  BufferWriter w;
+  AppendRecord(w, 7, 5);  // in range, but another worker's vertex
+  const DecodedBatch batch = Decode(w.data());
+  EXPECT_EQ(batch.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(batch.status.message().find("not owned"), std::string::npos)
+      << batch.status;
 }
 
 }  // namespace

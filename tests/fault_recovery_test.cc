@@ -181,8 +181,8 @@ EngineOptions FaultOptions(SyncMode mode) {
   opts.fault.recover = true;
   opts.fault.recovery_backoff_ms = 1;
   // Keep detection fast so hang/stall tests do not dominate suite time.
-  opts.fault.supervisor.heartbeat_timeout_ms = 1500;
-  opts.fault.supervisor.global_stall_timeout_ms = 4000;
+  opts.watchdog.heartbeat_timeout_ms = 1500;
+  opts.watchdog.global_stall_timeout_ms = 4000;
   opts.max_supersteps = 20000;
   return opts;
 }
@@ -255,23 +255,46 @@ TEST(CrashRecoveryTest, EveryPointEveryTechniqueResumesToFixpoint) {
   }
 }
 
+// A hang at each WorkerLoop fault point leaves the worker runnable (not
+// inside an ack, fork or barrier wait), so the per-worker heartbeat must
+// catch it well before the global stall timeout. pre_checkpoint hangs
+// the barrier's serial-section worker, which has already left B2.
 TEST(CrashRecoveryTest, HangedWorkerIsDetectedAndRecovered) {
   Graph graph = TestGraph();
   const std::vector<int64_t> expected =
       SsspBaseline(graph, SyncMode::kPartitionLocking);
-  EngineOptions opts = FaultOptions(SyncMode::kPartitionLocking);
-  opts.fault.supervisor.heartbeat_timeout_ms = 600;
-  FaultEvent hang;
-  hang.action = FaultAction::kHang;
-  hang.point = "engine.post_compute";
-  hang.worker = 1;
-  hang.hit = 2;
-  opts.fault.plan.events.push_back(hang);
-  Engine<Sssp> engine(&graph, opts);
-  auto result = engine.Run(Sssp(0));
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->values, expected);
-  EXPECT_GE(result->stats.recovery_attempts, 1);
+  struct HangCase {
+    const char* point;
+    int worker;
+  };
+  const HangCase kCases[] = {
+      {"engine.superstep_start", 1},
+      {"engine.post_compute", 1},
+      {"engine.pre_barrier", 1},
+      {"engine.pre_checkpoint", -1},
+  };
+  for (const HangCase& c : kCases) {
+    SCOPED_TRACE(std::string("point=") + c.point);
+    EngineOptions opts = FaultOptions(SyncMode::kPartitionLocking);
+    opts.watchdog.heartbeat_timeout_ms = 600;
+    FaultEvent hang;
+    hang.action = FaultAction::kHang;
+    hang.point = c.point;
+    hang.worker = c.worker;
+    hang.hit = c.worker < 0 ? 1 : 2;
+    opts.fault.plan.events.push_back(hang);
+    Engine<Sssp> engine(&graph, opts);
+    auto result = engine.Run(Sssp(0));
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->values, expected);
+    EXPECT_GE(result->stats.recovery_attempts, 1);
+    std::string failures;
+    for (const std::string& event : result->stats.recovery_events) {
+      if (event.rfind("failure detected: ", 0) == 0) failures += event + "\n";
+    }
+    EXPECT_NE(failures.find("unresponsive"), std::string::npos) << failures;
+    EXPECT_EQ(failures.find("global stall"), std::string::npos) << failures;
+  }
 }
 
 TEST(CrashRecoveryTest, CrashWithRecoveryDisabledAborts) {
@@ -382,8 +405,8 @@ TEST(WireFaultTest, DroppedMessagesTriggerRecoveryToFixpoint) {
   const std::vector<int64_t> expected =
       SsspBaseline(graph, SyncMode::kPartitionLocking);
   EngineOptions opts = FaultOptions(SyncMode::kPartitionLocking);
-  opts.fault.supervisor.heartbeat_timeout_ms = 1000;
-  opts.fault.supervisor.global_stall_timeout_ms = 2500;
+  opts.watchdog.heartbeat_timeout_ms = 1000;
+  opts.watchdog.global_stall_timeout_ms = 2500;
   FaultEvent drop;
   drop.action = FaultAction::kDrop;
   drop.hit = 5;
@@ -443,7 +466,7 @@ TEST(SupervisorTest, SlowWorkerIsNotAFalsePositive) {
   EngineOptions opts = FaultOptions(SyncMode::kPartitionLocking);
   opts.fault.plan.events.clear();           // no injected faults
   opts.superstep_overhead_us = 120000;      // 120 ms of dead time/superstep
-  opts.fault.supervisor.heartbeat_timeout_ms = 600;
+  opts.watchdog.heartbeat_timeout_ms = 600;
   Engine<Sssp> engine(&graph, opts);
   auto result = engine.Run(Sssp(0));
   ASSERT_TRUE(result.ok()) << result.status();
