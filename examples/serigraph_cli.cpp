@@ -256,7 +256,7 @@ void PrintHelp() {
       "  --obs-linger-ms=N                keep the obs endpoint up N ms\n"
       "                                   after the run finishes so scrapers\n"
       "                                   can collect the final state\n"
-      "  --incident-dir=DIR               write flight-recorder incident\n"
+      "  --incident-dir=DIR               write event-log incident\n"
       "                                   bundles here on confirmed\n"
       "                                   deadlock/stall, worker failure, or\n"
       "                                   fatal signal (docs/OBSERVABILITY.md)\n"
@@ -522,7 +522,7 @@ int main(int argc, char** argv) {
               SyncModeName(options.sync_mode), options.num_workers);
 
   // Live telemetry plane (docs/OBSERVABILITY.md "Live operations"): the
-  // incident dir arms automatic flight-recorder dumps (including the
+  // incident dir arms automatic incident dumps (including the
   // fatal-signal path), and --serve-obs exposes /metrics /healthz
   // /statusz /incidentz for the duration of the run.
   if (!cli.incident_dir.empty()) {
@@ -577,7 +577,7 @@ int main(int argc, char** argv) {
   // An aborted run (exit 3: watchdog or worker failure) must never exit without
   // the incident that caused it on disk: the in-engine triggers normally
   // wrote one already, but if every automatic dump was rate-limited or
-  // failed, capture a final bundle while the flight recorder still holds
+  // failed, capture a final bundle while the event log still holds
   // the tail.
   if (exit_code == 3 && !cli.incident_dir.empty() &&
       IncidentManager::Get().List().empty()) {

@@ -29,15 +29,18 @@
 # without --recover must abort with exit 3, a randomized plan under
 # --verify must still pass the serializability audit, and an injected
 # hang under --recover plus --introspect-out must be recovered by the
-# same watchdog that streams the JSONL (no deadlock reported).
+# same watchdog that streams the JSONL (one final snapshot per attempt,
+# no deadlock reported).
 #
 # --obs-smoke skips the sanitizer suite entirely: it builds serigraph_cli
 # in Release and exercises the live telemetry plane end to end — a
 # --serve-obs run whose four endpoints all answer (with the exposition
 # validated by scripts/check_prom.py), a manually-triggered incident
-# bundle that is complete on disk, a tail-able --live-report stream, and
-# an injected-hang run where /healthz flips 503 before the process exits
-# 3 with an automatic watchdog incident bundle.
+# bundle that is complete on disk (its trace.json names the worker
+# lanes), a tail-able --live-report stream, a --trace-out export (lanes,
+# spans, paired flow arrows), and an injected-hang run where /healthz
+# flips 503 before the process exits 3 with an automatic watchdog
+# incident bundle.
 #
 # --mcheck skips the sanitizer suite entirely: it builds serichk in
 # Release and runs the model-checking gate (ctest -L mcheck) — every
@@ -169,12 +172,17 @@ if attempts < 1:
     sys.exit("chaos smoke [combined]: hang was not recovered")
 records = [json.loads(l) for l in open(sys.argv[2]) if l.strip()]
 snapshots = sum(1 for r in records if r.get("type") == "snapshot")
-if snapshots < 1:
-    sys.exit("chaos smoke [combined]: JSONL has no snapshot")
+# One watchdog per attempt, each ending with a final snapshot: the JSONL
+# keeps every attempt of the recovered run.
+finals = sum(1 for r in records
+             if r.get("type") == "snapshot" and r.get("final"))
+if finals < attempts + 1:
+    sys.exit(f"chaos smoke [combined]: {finals} final snapshot(s) for "
+             f"{attempts + 1} attempts; the JSONL lost an attempt")
 if any(r.get("type") == "deadlock" for r in records):
     sys.exit("chaos smoke [combined]: watchdog reported a deadlock")
 print(f"chaos smoke [combined]: recovered in {attempts} attempt(s), "
-      f"{snapshots} snapshots")
+      f"{snapshots} snapshots, {finals} final")
 EOF
 
   echo "check.sh: chaos smoke passed"
@@ -232,6 +240,12 @@ sys.stdout.write(body.decode())
     exit 1
   fi
 
+  # The workers have named their lanes once the first live-report row
+  # (written after superstep 0) is on disk.
+  for _ in $(seq 1 150); do
+    [[ -s "$LIVE" ]] && break
+    sleep 0.1
+  done
   fetch "$PORT" /metrics > "$OBS_DIR/metrics.prom"
   python3 scripts/check_prom.py "$OBS_DIR/metrics.prom"
   fetch "$PORT" /healthz > "$OBS_DIR/healthz.json"
@@ -264,7 +278,11 @@ for name in ("trace.json", "metrics.prom", "env.json", "waitfor.json",
         sys.exit(f"obs smoke: bundle missing {name}")
 trace = json.load(open(os.path.join(bundle, "trace.json")))
 if not trace.get("traceEvents"):
-    sys.exit("obs smoke: bundle flight-recorder tail is empty")
+    sys.exit("obs smoke: bundle event-log tail is empty")
+if not any(e.get("ph") == "M" and e.get("name") == "thread_name" and
+           e.get("args", {}).get("name", "").startswith("worker-")
+           for e in trace["traceEvents"]):
+    sys.exit("obs smoke: bundle trace.json has no worker- lane name")
 
 # Satellite 2: the per-superstep progress stream is already flushed to
 # disk while the process is still alive (tail -f works mid-run).
@@ -283,6 +301,33 @@ EOF
     cat "$LOG" >&2
     exit 1
   fi
+
+  # --- retain-all export: --trace-out keeps every event of the run.
+  TRACE="$OBS_DIR/trace.json"
+  "$CLI" --algorithm=pagerank --generator=powerlaw --vertices=2000 \
+    --degree=8 --sync=partition-locking --workers=4 \
+    --trace-out="$TRACE" > "$OBS_DIR/trace.log" 2>&1
+  python3 - "$TRACE" <<'EOF'
+import json, sys
+
+events = json.load(open(sys.argv[1]))["traceEvents"]
+lanes = [e["args"]["name"] for e in events
+         if e.get("ph") == "M" and e.get("name") == "thread_name"]
+for prefix in ("worker-", "comm-"):
+    if not any(name.startswith(prefix) for name in lanes):
+        sys.exit(f"obs smoke: --trace-out has no {prefix} lane: {lanes}")
+spans = sum(1 for e in events if e.get("ph") == "X")
+if spans < 1:
+    sys.exit("obs smoke: --trace-out has no X span")
+starts = {e["id"] for e in events if e.get("ph") == "s"}
+finishes = [e["id"] for e in events if e.get("ph") == "f"]
+unpaired = [i for i in finishes if i not in starts]
+if unpaired:
+    sys.exit(f"obs smoke: {len(unpaired)} of {len(finishes)} flow ends "
+             f"have no start (first id {unpaired[0]})")
+print(f"obs smoke: --trace-out OK ({len(lanes)} lanes, {spans} spans, "
+      f"{len(finishes)} flows)")
+EOF
 
   # --- unhealthy half: an injected hang parks one worker; the watchdog
   # confirms the stall, flips /healthz to 503, and writes an automatic

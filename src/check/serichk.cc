@@ -9,7 +9,7 @@
 #include "common/logging.h"
 #include "common/planted.h"
 #include "graph/generators.h"
-#include "obs/flightrec.h"
+#include "obs/trace.h"
 #include "pregel/engine.h"
 #include "verify/history.h"
 
@@ -132,10 +132,10 @@ int RunSerichk(const SerichkConfig& cfg) {
 
   // Schedule-point noise control: anything that takes an sy:: lock on the
   // worker threads becomes part of the explored state space. Demote
-  // per-run INFO logging and the (default-on) flight recorder; metrics
+  // per-run INFO logging and the (default-on) event-log recording; metrics
   // counters are lock-free and stay.
   SetLogLevel(LogLevel::kError);
-  FlightRecorder::Disable();
+  Tracer::DisableRecording();
 
   Planted::Clear();
   if (!cfg.plant.empty()) {

@@ -39,151 +39,6 @@ BuildInfo GetBuildInfo() {
 }
 
 // ---------------------------------------------------------------------------
-// FlightRecorder
-
-std::atomic<bool> FlightRecorder::enabled_{true};
-
-FlightRecorder& FlightRecorder::Get() {
-  // Leaked on purpose: the fatal-signal path may dump during static
-  // destruction, and a destructed recorder must never be reachable.
-  static FlightRecorder* recorder = new FlightRecorder();
-  return *recorder;
-}
-
-FlightRecorder::Ring* FlightRecorder::RingForThisThread() {
-  static thread_local Ring* tls_ring = nullptr;
-  if (tls_ring == nullptr) {
-    auto ring = std::make_unique<Ring>();
-    sy::MutexLock lock(&rings_mu_);
-    ring->tid = static_cast<uint32_t>(rings_.size());
-    tls_ring = ring.get();
-    rings_.push_back(std::move(ring));
-  }
-  return tls_ring;
-}
-
-void FlightRecorder::Record(const char* name, char ph, int64_t ts_us,
-                            int64_t value) {
-  Ring* ring = RingForThisThread();
-  const uint64_t idx =  // mo: best-effort ring; snapshots may tear
-      ring->head.fetch_add(1, std::memory_order_relaxed) % kRingCapacity;
-  Slot& slot = ring->slots[idx];
-  // All relaxed: the slot is owned by this thread for writing; snapshot
-  // readers tolerate torn records (every field individually valid).
-  // mo: best-effort ring; snapshots may tear
-  slot.ts_us.store(ts_us, std::memory_order_relaxed);
-  // mo: best-effort ring; snapshots may tear
-  slot.value.store(value, std::memory_order_relaxed);
-  // mo: best-effort ring; snapshots may tear
-  slot.ph.store(ph, std::memory_order_relaxed);
-  // mo: best-effort ring; snapshots may tear
-  slot.name.store(name, std::memory_order_relaxed);
-}
-
-void FlightRecorder::RecordSpan(const char* name, int64_t start_us,
-                                int64_t dur_us) {
-  if (!enabled()) return;
-  Get().Record(name, 'X', start_us, dur_us);
-}
-
-void FlightRecorder::RecordCounter(const char* name, int64_t value) {
-  if (!enabled()) return;
-  Get().Record(name, 'C', Tracer::NowMicros(), value);
-}
-
-void FlightRecorder::RecordInstant(const char* name) {
-  if (!enabled()) return;
-  Get().Record(name, 'i', Tracer::NowMicros(), 0);
-}
-
-std::vector<FlightEvent> FlightRecorder::Snapshot() const {
-  std::vector<FlightEvent> events;
-  {
-    sy::MutexLock lock(&rings_mu_);
-    for (const auto& ring : rings_) {
-      // mo: best-effort ring; snapshots may tear
-      const uint64_t head = ring->head.load(std::memory_order_relaxed);
-      const uint64_t n = std::min<uint64_t>(head, kRingCapacity);
-      for (uint64_t i = 0; i < n; ++i) {
-        const Slot& slot = ring->slots[i];
-        FlightEvent e;
-        // mo: best-effort ring; snapshots may tear
-        e.name = slot.name.load(std::memory_order_relaxed);
-        if (e.name == nullptr) continue;
-        // mo: best-effort ring; snapshots may tear
-        e.ts_us = slot.ts_us.load(std::memory_order_relaxed);
-        // mo: best-effort ring; snapshots may tear
-        e.value = slot.value.load(std::memory_order_relaxed);
-        // mo: best-effort ring; snapshots may tear
-        e.ph = slot.ph.load(std::memory_order_relaxed);
-        e.tid = ring->tid;
-        events.push_back(e);
-      }
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const FlightEvent& a, const FlightEvent& b) {
-              return a.ts_us < b.ts_us;
-            });
-  return events;
-}
-
-std::string FlightRecorder::TailChromeTraceJson() const {
-  const std::vector<FlightEvent> events = Snapshot();
-  JsonWriter w;
-  w.BeginObject().Key("traceEvents").BeginArray();
-  for (const FlightEvent& e : events) {
-    w.BeginObject()
-        .Key("name")
-        .Value(e.name)
-        .Key("pid")
-        .Value(1)
-        .Key("tid")
-        .Value(static_cast<int64_t>(e.tid))
-        .Key("ts")
-        .Value(e.ts_us);
-    switch (e.ph) {
-      case 'X':
-        w.Key("ph").Value("X").Key("dur").Value(e.value);
-        break;
-      case 'C':
-        w.Key("ph").Value("C").Key("args").BeginObject().Key("value").Value(
-            e.value);
-        w.EndObject();
-        break;
-      default:
-        w.Key("ph").Value("i").Key("s").Value("g");
-        break;
-    }
-    w.EndObject();
-  }
-  w.EndArray().Key("displayTimeUnit").Value("ms").EndObject();
-  return w.str();
-}
-
-int64_t FlightRecorder::event_count() const {
-  sy::MutexLock lock(&rings_mu_);
-  int64_t total = 0;
-  for (const auto& ring : rings_) {
-    // mo: best-effort ring; snapshots may tear
-    total += static_cast<int64_t>(ring->head.load(std::memory_order_relaxed));
-  }
-  return total;
-}
-
-void FlightRecorder::ResetForTest() {
-  sy::MutexLock lock(&rings_mu_);
-  for (auto& ring : rings_) {
-    // mo: best-effort ring; snapshots may tear
-    ring->head.store(0, std::memory_order_relaxed);
-    for (Slot& slot : ring->slots) {
-      // mo: best-effort ring; snapshots may tear
-      slot.name.store(nullptr, std::memory_order_relaxed);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // HealthState
 
 const char* HealthLevelName(HealthLevel level) {
@@ -224,31 +79,25 @@ void HealthState::ClearComponent(const std::string& component) {
   components_.erase(component);
 }
 
-HealthLevel HealthState::level() const {
-  sy::MutexLock lock(&health_mu_);
+HealthLevel HealthState::LevelLocked() const {
   HealthLevel worst = HealthLevel::kOk;
   for (const auto& [name, entry] : components_) {
-    (void)name;
-    if (static_cast<int>(entry.first) > static_cast<int>(worst)) {
-      worst = entry.first;
-    }
+    worst = std::max(worst, entry.first);
   }
   return worst;
 }
 
+HealthLevel HealthState::level() const {
+  sy::MutexLock lock(&health_mu_);
+  return LevelLocked();
+}
+
 std::string HealthState::ToJson() const {
   sy::MutexLock lock(&health_mu_);
-  HealthLevel worst = HealthLevel::kOk;
-  for (const auto& [name, entry] : components_) {
-    (void)name;
-    if (static_cast<int>(entry.first) > static_cast<int>(worst)) {
-      worst = entry.first;
-    }
-  }
   JsonWriter w;
   w.BeginObject()
       .Key("status")
-      .Value(HealthLevelName(worst))
+      .Value(HealthLevelName(LevelLocked()))
       .Key("ready")
       .Value(ready_)
       .Key("components")
@@ -493,7 +342,7 @@ StatusOr<std::string> IncidentManager::Dump(const std::string& trigger,
   const char* files[] = {"trace.json", "waitfor.json", "metrics.prom",
                          "faults.json", "env.json"};
   status = WriteTextFile(bundle + "/trace.json",
-                         FlightRecorder::Get().TailChromeTraceJson());
+                         Tracer::Get().ToChromeTraceJson());
   if (status.ok()) {
     status = WriteTextFile(bundle + "/waitfor.json", WaitForStateJson());
   }
@@ -580,7 +429,7 @@ void TriggerIncidentDump(const std::string& trigger, const std::string& reason,
   if (level != HealthLevel::kOk) {
     HealthState::Get().Report(level, trigger, reason);
   }
-  FlightRecorder::RecordInstant("incident.trigger");
+  Tracer::RecordInstant("incident.trigger");
   const StatusOr<std::string> bundle =
       IncidentManager::Get().Dump(trigger, reason);
   if (!bundle.ok()) {

@@ -288,7 +288,7 @@ StatusOr<std::unique_ptr<ObsServer>> ObsServer::Start(const Options& options) {
   if (!http.ok()) return http.status();
   server->http_ = std::move(http).value();
   TelemetryHub::SetServing(true);
-  FlightRecorder::RecordInstant("obs.server_start");
+  Tracer::RecordInstant("obs.server_start");
   return server;
 }
 
@@ -393,7 +393,7 @@ HttpResponse ObsServer::Statusz() const {
       .Value(metric("store.max_chain_len"))
       .EndObject()
       .Key("flight_events")
-      .Value(FlightRecorder::Get().event_count())
+      .Value(Tracer::Get().held_count())
       .Key("incidents")
       .Value(static_cast<int64_t>(IncidentManager::Get().List().size()));
 

@@ -80,7 +80,7 @@ class HttpServer {
 };
 
 /// The observability endpoint: an HttpServer wired to the telemetry
-/// plane (TelemetryHub, HealthState, Introspector, FlightRecorder,
+/// plane (TelemetryHub, HealthState, Introspector, the Tracer event log,
 /// IncidentManager). Routes:
 ///   /metrics            typed Prometheus exposition (# HELP + # TYPE)
 ///   /healthz            liveness + readiness JSON; 503 when unhealthy

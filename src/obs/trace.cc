@@ -1,11 +1,14 @@
 #include "obs/trace.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <set>
 #include <utility>
+
+#include "obs/report.h"
 
 namespace serigraph {
 
-std::atomic<bool> Tracer::enabled_{false};
+std::atomic<uint8_t> Tracer::flags_{Tracer::kRecordBit};
 
 namespace {
 
@@ -16,50 +19,42 @@ std::chrono::steady_clock::time_point TraceEpoch() {
   return epoch;
 }
 
-struct TlsSlot {
-  void* buffer = nullptr;  // Tracer::ThreadBuffer*, type-erased for TLS
-  uint64_t epoch = ~uint64_t{0};
+/// The calling thread's Tracer::ThreadLog (type-erased: it is private).
+/// Trivially destructible, so the record path pays no TLS guard.
+thread_local void* tls_log = nullptr;
+/// Set once the thread released its log: later events are ignored.
+thread_local bool tls_released = false;
+
+}  // namespace
+
+/// Pools the thread's log at thread exit. Constructed (and so destroyed)
+/// only on threads that claimed a log.
+struct LogReleaser {
+  bool armed = false;
+  ~LogReleaser() {
+    tls_released = true;
+    if (tls_log == nullptr) return;
+    Tracer::Get().Release(static_cast<Tracer::ThreadLog*>(tls_log));
+    tls_log = nullptr;
+  }
 };
 
-thread_local TlsSlot tls_slot;
-
-/// Appends `value` to `out` with JSON string escaping.
-void AppendJsonEscaped(std::string& out, const char* value) {
-  for (const char* p = value; *p != '\0'; ++p) {
-    const char c = *p;
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
+namespace {
+thread_local LogReleaser tls_releaser;
 }  // namespace
 
 Tracer& Tracer::Get() {
   static Tracer* tracer = new Tracer();  // leaked: alive for exiting threads
   return *tracer;
+}
+
+void Tracer::SetFlag(uint8_t bit, bool on) {
+  if (on) {
+    flags_.fetch_or(bit, std::memory_order_relaxed);  // mo: on/off gate
+  } else {
+    // mo: on/off gate
+    flags_.fetch_and(static_cast<uint8_t>(~bit), std::memory_order_relaxed);
+  }
 }
 
 int64_t Tracer::NowMicros() {
@@ -68,237 +63,255 @@ int64_t Tracer::NowMicros() {
       .count();
 }
 
-Tracer::ThreadBuffer* Tracer::CurrentThreadBuffer() {
-  const uint64_t epoch = epoch_.load(std::memory_order_acquire);
-  if (tls_slot.buffer != nullptr && tls_slot.epoch == epoch) {
-    return static_cast<ThreadBuffer*>(tls_slot.buffer);
-  }
-  auto buffer = std::make_unique<ThreadBuffer>();
-  ThreadBuffer* raw = buffer.get();
-  {
-    sy::MutexLock lock(&registry_mu_);
-    raw->tid = next_tid_++;
-    buffers_.push_back(std::move(buffer));
-  }
-  tls_slot.buffer = raw;
-  tls_slot.epoch = epoch;
-  return raw;
-}
-
-void Tracer::RecordFlow(const char* name, char ph, uint64_t id) {
-  ThreadBuffer* buffer = CurrentThreadBuffer();
-  Chunk* chunk = nullptr;
-  {
-    sy::MutexLock lock(&buffer->mu);
-    if (!buffer->chunks.empty()) {
-      Chunk* last = buffer->chunks.back().get();
-      // mo: own-thread cursor; export is best-effort
-      if (last->count.load(std::memory_order_relaxed) < kChunkCapacity) {
-        chunk = last;
-      }
-    }
-    if (chunk == nullptr) {
-      if (buffer->chunks.size() >= kMaxChunksPerThread) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);  // mo: stat counter
-        return;
-      }
-      buffer->chunks.push_back(std::make_unique<Chunk>());
-      chunk = buffer->chunks.back().get();
-    }
-  }
-  // mo: own-thread cursor; export is best-effort
-  const size_t slot = chunk->count.load(std::memory_order_relaxed);
-  chunk->events[slot].name = name;
-  chunk->events[slot].ts_us = NowMicros();
-  chunk->events[slot].dur_us = 0;
-  chunk->events[slot].ph = ph;
-  chunk->events[slot].id = id;
-  chunk->count.store(slot + 1, std::memory_order_release);
-}
-
-void Tracer::RecordCounter(const char* name, int64_t value) {
-  ThreadBuffer* buffer = CurrentThreadBuffer();
-  Chunk* chunk = nullptr;
-  {
-    sy::MutexLock lock(&buffer->mu);
-    if (!buffer->chunks.empty()) {
-      Chunk* last = buffer->chunks.back().get();
-      // mo: own-thread cursor; export is best-effort
-      if (last->count.load(std::memory_order_relaxed) < kChunkCapacity) {
-        chunk = last;
-      }
-    }
-    if (chunk == nullptr) {
-      if (buffer->chunks.size() >= kMaxChunksPerThread) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);  // mo: stat counter
-        return;
-      }
-      buffer->chunks.push_back(std::make_unique<Chunk>());
-      chunk = buffer->chunks.back().get();
-    }
-  }
-  // mo: own-thread cursor; export is best-effort
-  const size_t slot = chunk->count.load(std::memory_order_relaxed);
-  chunk->events[slot].name = name;
-  chunk->events[slot].ts_us = NowMicros();
-  chunk->events[slot].dur_us = value;
-  chunk->events[slot].ph = 'C';
-  chunk->events[slot].id = 0;
-  chunk->count.store(slot + 1, std::memory_order_release);
-}
-
 uint64_t Tracer::NextFlowId() {
   static std::atomic<uint64_t> next{1};
   // mo: id allocator; uniqueness only
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Tracer::RecordComplete(const char* name, int64_t ts_us, int64_t dur_us) {
-  ThreadBuffer* buffer = CurrentThreadBuffer();
-  Chunk* chunk = nullptr;
-  {
-    // The chunk-list mutex is uncontended in steady state: only the owning
-    // thread grows the list, and the exporter takes it briefly to snapshot
-    // chunk pointers. Event writes below happen outside the lock.
-    sy::MutexLock lock(&buffer->mu);
-    if (!buffer->chunks.empty()) {
-      Chunk* last = buffer->chunks.back().get();
-      // mo: own-thread cursor; export is best-effort
-      if (last->count.load(std::memory_order_relaxed) < kChunkCapacity) {
-        chunk = last;
-      }
-    }
-    if (chunk == nullptr) {
-      if (buffer->chunks.size() >= kMaxChunksPerThread) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);  // mo: stat counter
+void Tracer::Record(const char* name, char ph, int64_t ts_us, int64_t value) {
+  const uint8_t flags = flags_.load(std::memory_order_relaxed);  // mo: gate
+  if (flags == 0) return;
+  auto* log = static_cast<ThreadLog*>(tls_log);
+  if (log == nullptr && (log = Get().Claim()) == nullptr) return;
+  // The cursors are the owner's (Reset aside): relaxed loads suffice, and
+  // readers pair retain_begin with the acquire load of head.
+  uint64_t head = log->head.load(std::memory_order_relaxed);  // mo: owner
+  // mo: owner
+  const uint64_t begin = log->retain_begin.load(std::memory_order_relaxed);
+  if ((flags & kRetainBit) != 0) {
+    if (begin == kNotRetaining) {
+      // mo: published by the release store of head below
+      log->retain_begin.store(head, std::memory_order_relaxed);
+    } else if (head - begin >= kRingCapacity) {
+      if (!Get().Spill(log, /*make_room=*/true)) {
+        // mo: stat counter
+        Get().dropped_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      buffer->chunks.push_back(std::make_unique<Chunk>());
-      chunk = buffer->chunks.back().get();
+      head = 0;
+    }
+  } else if (begin != kNotRetaining) {
+    // First write after Disable(): keep the retained events before the
+    // ring wraps over them.
+    Get().Spill(log, /*make_room=*/false);
+    head = 0;
+  }
+  // Only this thread writes the slot; the release store of head
+  // publishes it, and a reader of a tail slot tolerates a torn event.
+  Slot& slot = log->ring->slots[head % kRingCapacity];
+  slot.ts_us.store(ts_us, std::memory_order_relaxed);  // mo: see above
+  slot.value.store(value, std::memory_order_relaxed);  // mo: see above
+  slot.ph.store(ph, std::memory_order_relaxed);        // mo: see above
+  // mo: see above
+  slot.tid.store(log->tid.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);  // mo: see above
+  slot.name.store(name, std::memory_order_relaxed);  // mo: see above
+  log->head.store(head + 1, std::memory_order_release);
+}
+
+Tracer::ThreadLog* Tracer::Claim() {
+  if (tls_released) return nullptr;
+  ThreadLog* log = nullptr;
+  {
+    sy::MutexLock lock(&log_mu_);
+    for (const auto& pooled : logs_) {
+      if (pooled->tid.load(std::memory_order_relaxed) == 0) {  // mo: locked
+        log = pooled.get();
+        break;
+      }
+    }
+    if (log == nullptr) {
+      log = logs_.emplace_back(std::make_unique<ThreadLog>()).get();
+    }
+    if (log->ring == nullptr) log->ring = std::make_unique<Ring>();
+    log->tid.store(next_tid_++, std::memory_order_relaxed);  // mo: locked
+    log->spilled.store(0, std::memory_order_relaxed);        // mo: locked
+    PruneNamesLocked();
+  }
+  tls_log = log;
+  tls_releaser.armed = true;  // first use registers the exit hook
+  return log;
+}
+
+void Tracer::Release(ThreadLog* log) {
+  sy::MutexLock lock(&log_mu_);
+  // mo: the exiting owner's cursor
+  if (log->retain_begin.load(std::memory_order_relaxed) != kNotRetaining) {
+    RetainRingLocked(log);
+  }
+  log->tid.store(0, std::memory_order_relaxed);  // mo: locked
+}
+
+bool Tracer::Spill(ThreadLog* log, bool make_room) {
+  // mo: the owner's counter (Claim/Reset write it under the lock)
+  const uint32_t spilled = log->spilled.load(std::memory_order_relaxed);
+  if (make_room && spilled + 1 >= kMaxRingsPerThread) return false;
+  auto fresh = std::make_unique<Ring>();
+  sy::MutexLock lock(&log_mu_);
+  RetainRingLocked(log);
+  log->ring = std::move(fresh);
+  if (make_room) {
+    log->retain_begin.store(0, std::memory_order_relaxed);  // mo: locked
+    log->spilled.store(spilled + 1, std::memory_order_relaxed);  // mo: locked
+  }
+  return true;
+}
+
+void Tracer::RetainRingLocked(ThreadLog* log) {
+  // mo: the owner's cursors, read and reset under the lock
+  const uint64_t begin = log->retain_begin.load(std::memory_order_relaxed);
+  const uint64_t end = log->head.load(std::memory_order_relaxed);  // mo: same
+  retained_.push_back({std::move(log->ring), begin, end});
+  log->head.store(0, std::memory_order_relaxed);  // mo: same
+  // mo: same
+  log->retain_begin.store(kNotRetaining, std::memory_order_relaxed);
+}
+
+void Tracer::PruneNamesLocked() {
+  // Amortized: scan only once the map clearly outgrows the registry, and
+  // never while retained rings (possibly ~1M events each thread) exist.
+  if (names_.size() <= 2 * logs_.size() + 16 || !retained_.empty()) return;
+  std::set<uint32_t> held;
+  for (const auto& log : logs_) {
+    held.insert(log->tid.load(std::memory_order_relaxed));  // mo: locked
+    if (log->ring == nullptr) continue;
+    for (const Slot& slot : log->ring->slots) {
+      held.insert(slot.tid.load(std::memory_order_relaxed));  // mo: tail
     }
   }
-  // mo: own-thread cursor; export is best-effort
-  const size_t slot = chunk->count.load(std::memory_order_relaxed);
-  chunk->events[slot].name = name;
-  chunk->events[slot].ts_us = ts_us;
-  chunk->events[slot].dur_us = dur_us;
-  chunk->events[slot].ph = 'X';
-  chunk->events[slot].id = 0;
-  // Publish: the exporter's acquire load of `count` makes the event fields
-  // written above visible before it reads them.
-  chunk->count.store(slot + 1, std::memory_order_release);
+  std::erase_if(names_,
+                [&held](const auto& n) { return held.count(n.first) == 0; });
 }
 
 void Tracer::SetCurrentThreadName(const std::string& name) {
-  ThreadBuffer* buffer = CurrentThreadBuffer();
-  sy::MutexLock lock(&buffer->mu);
-  buffer->name = name;
+  if (!recording()) return;
+  auto* log = static_cast<ThreadLog*>(tls_log);
+  if (log == nullptr && (log = Claim()) == nullptr) return;
+  sy::MutexLock lock(&log_mu_);
+  names_[log->tid.load(std::memory_order_relaxed)] = name;  // mo: owner
+}
+
+void Tracer::AppendSlots(const Ring& ring, uint64_t begin, uint64_t end,
+                         std::vector<TraceEvent>* out) {
+  for (uint64_t pos = begin; pos < end; ++pos) {
+    const Slot& slot = ring.slots[pos % kRingCapacity];
+    TraceEvent e;
+    // mo: retained slots are published by head; tail slots may tear
+    e.name = slot.name.load(std::memory_order_relaxed);
+    if (e.name == nullptr) continue;
+    e.ts_us = slot.ts_us.load(std::memory_order_relaxed);  // mo: as above
+    e.value = slot.value.load(std::memory_order_relaxed);  // mo: as above
+    e.ph = slot.ph.load(std::memory_order_relaxed);        // mo: as above
+    e.tid = slot.tid.load(std::memory_order_relaxed);      // mo: as above
+    out->push_back(e);
+  }
+}
+
+std::vector<TraceEvent> Tracer::Snapshot() const {
+  std::vector<TraceEvent> events;
+  {
+    sy::MutexLock lock(&log_mu_);
+    for (const RetainedRing& r : retained_) {
+      AppendSlots(*r.ring, r.begin, r.end, &events);
+    }
+    for (const auto& log : logs_) {
+      if (log->ring == nullptr) continue;
+      const uint64_t head = log->head.load(std::memory_order_acquire);
+      AppendSlots(*log->ring, head - std::min<uint64_t>(head, kRingCapacity),
+                  head, &events);
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) {
+                     return a.ts_us < b.ts_us;
+                   });
+  return events;
 }
 
 std::string Tracer::ToChromeTraceJson() const {
-  std::string out;
-  out.reserve(1 << 16);
-  out += "{\"traceEvents\":[";
-  bool first = true;
-  sy::MutexLock registry_lock(&registry_mu_);
-  for (const auto& buffer : buffers_) {
-    std::vector<Chunk*> chunks;
-    std::string thread_name;
-    {
-      sy::MutexLock lock(&buffer->mu);
-      chunks.reserve(buffer->chunks.size());
-      for (const auto& chunk : buffer->chunks) chunks.push_back(chunk.get());
-      thread_name = buffer->name;
-    }
-    if (!thread_name.empty()) {
-      if (!first) out += ",";
-      first = false;
-      out += "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":";
-      out += std::to_string(buffer->tid);
-      out += ",\"args\":{\"name\":\"";
-      AppendJsonEscaped(out, thread_name.c_str());
-      out += "\"}}";
-    }
-    for (Chunk* chunk : chunks) {
-      const size_t n = chunk->count.load(std::memory_order_acquire);
-      for (size_t i = 0; i < n; ++i) {
-        const TraceEvent& event = chunk->events[i];
-        if (!first) out += ",";
-        first = false;
-        out += "{\"name\":\"";
-        AppendJsonEscaped(out, event.name);
-        if (event.ph == 's' || event.ph == 'f') {
-          // Flow arrow endpoint: "s" at the sender, "f" (binding to the
-          // enclosing slice, "bp":"e") at the receiver.
-          out += "\",\"ph\":\"";
-          out += event.ph;
-          out += "\",\"cat\":\"flow\",\"pid\":0,\"tid\":";
-          out += std::to_string(buffer->tid);
-          out += ",\"ts\":";
-          out += std::to_string(event.ts_us);
-          out += ",\"id\":";
-          out += std::to_string(event.id);
-          if (event.ph == 'f') out += ",\"bp\":\"e\"";
-          out += "}";
-        } else if (event.ph == 'C') {
-          // Counter sample: the viewer plots args.value over time.
-          out += "\",\"ph\":\"C\",\"pid\":0,\"tid\":";
-          out += std::to_string(buffer->tid);
-          out += ",\"ts\":";
-          out += std::to_string(event.ts_us);
-          out += ",\"args\":{\"value\":";
-          out += std::to_string(event.dur_us);
-          out += "}}";
-        } else {
-          out += "\",\"ph\":\"X\",\"pid\":0,\"tid\":";
-          out += std::to_string(buffer->tid);
-          out += ",\"ts\":";
-          out += std::to_string(event.ts_us);
-          out += ",\"dur\":";
-          out += std::to_string(event.dur_us);
-          out += "}";
-        }
-      }
-    }
+  const std::vector<TraceEvent> events = Snapshot();
+  std::map<uint32_t, std::string> names;
+  {
+    sy::MutexLock lock(&log_mu_);
+    names = names_;
   }
-  out += "],\"displayTimeUnit\":\"ms\"}";
-  return out;
+  JsonWriter w;
+  w.BeginObject().Key("traceEvents").BeginArray();
+  for (const auto& [tid, name] : names) {
+    w.BeginObject().Key("name").Value("thread_name").Key("ph").Value("M");
+    w.Key("pid").Value(0).Key("tid").Value(static_cast<int64_t>(tid));
+    w.Key("args").BeginObject().Key("name").Value(name).EndObject();
+    w.EndObject();
+  }
+  for (const TraceEvent& e : events) {
+    w.BeginObject().Key("name").Value(e.name);
+    w.Key("ph").Value(std::string(1, e.ph));
+    if (e.ph == 's' || e.ph == 'f') w.Key("cat").Value("flow");
+    if (e.ph == 'i') w.Key("s").Value("g");
+    w.Key("pid").Value(0).Key("tid").Value(static_cast<int64_t>(e.tid));
+    w.Key("ts").Value(e.ts_us);
+    if (e.ph == 'X') w.Key("dur").Value(e.value);
+    if (e.ph == 'C') {  // the viewer plots args.value over time
+      w.Key("args").BeginObject().Key("value").Value(e.value).EndObject();
+    }
+    if (e.ph == 's' || e.ph == 'f') w.Key("id").Value(e.value);
+    // The receiver's end binds to its enclosing slice.
+    if (e.ph == 'f') w.Key("bp").Value("e");
+    w.EndObject();
+  }
+  w.EndArray().Key("displayTimeUnit").Value("ms").EndObject();
+  return w.str();
 }
 
 Status Tracer::WriteChromeTrace(const std::string& path) const {
-  const std::string json = ToChromeTraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IoError("cannot open trace output file " + path);
-  }
-  const size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const int close_err = std::fclose(f);
-  if (written != json.size() || close_err != 0) {
-    return Status::IoError("short write to trace output file " + path);
-  }
-  return Status::OK();
+  return WriteTextFile(path, ToChromeTraceJson());
 }
 
-int64_t Tracer::event_count() const {
-  int64_t total = 0;
-  sy::MutexLock registry_lock(&registry_mu_);
-  for (const auto& buffer : buffers_) {
-    sy::MutexLock lock(&buffer->mu);
-    for (const auto& chunk : buffer->chunks) {
-      total +=
-          static_cast<int64_t>(chunk->count.load(std::memory_order_acquire));
+int64_t Tracer::event_count() const { return Count(/*retained_only=*/true); }
+
+int64_t Tracer::held_count() const { return Count(/*retained_only=*/false); }
+
+int64_t Tracer::Count(bool retained_only) const {
+  sy::MutexLock lock(&log_mu_);
+  uint64_t total = 0;
+  for (const RetainedRing& r : retained_) total += r.end - r.begin;
+  for (const auto& log : logs_) {
+    const uint64_t head = log->head.load(std::memory_order_acquire);
+    // mo: ordered after the acquire load of head
+    const uint64_t begin = log->retain_begin.load(std::memory_order_relaxed);
+    if (!retained_only) {
+      total += std::min<uint64_t>(head, kRingCapacity);
+    } else if (begin != kNotRetaining && begin <= head) {
+      total += head - begin;
     }
   }
-  return total;
+  return static_cast<int64_t>(total);
+}
+
+size_t Tracer::log_count() const {
+  sy::MutexLock lock(&log_mu_);
+  return logs_.size();
 }
 
 void Tracer::Reset() {
-  sy::MutexLock lock(&registry_mu_);
-  buffers_.clear();
-  next_tid_ = 1;
+  sy::MutexLock lock(&log_mu_);
+  retained_.clear();
+  names_.clear();
+  std::erase_if(logs_, [](const std::unique_ptr<ThreadLog>& log) {
+    return log->tid.load(std::memory_order_relaxed) == 0;  // mo: locked
+  });
+  // Live logs are emptied in place; see the contract in the header.
+  for (const auto& log : logs_) {
+    for (Slot& slot : log->ring->slots) {
+      slot.name.store(nullptr, std::memory_order_relaxed);  // mo: contract
+    }
+    log->head.store(0, std::memory_order_relaxed);  // mo: contract
+    // mo: contract
+    log->retain_begin.store(kNotRetaining, std::memory_order_relaxed);
+    log->spilled.store(0, std::memory_order_relaxed);  // mo: contract
+  }
   dropped_.store(0, std::memory_order_relaxed);  // mo: stat counter
-  // Invalidate every thread's cached buffer pointer.
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
 }
 
 }  // namespace serigraph

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -11,165 +12,199 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "obs/flightrec.h"
 
 namespace serigraph {
 
-/// One recorded event: a completed span ("X" phase in the Chrome
-/// trace-event format), one end of a flow arrow ('s' = start at the
-/// sender, 'f' = finish at the receiver) binding cross-thread causality,
-/// or a counter sample ('C') rendered by the viewer as a value track
-/// (per-superstep IPC, LLC misses, RSS — see docs/PROFILING.md).
-/// `name` must point at a string with static storage duration — span
-/// macros pass literals, so recording never copies or allocates.
+/// One event: a completed span ('X' in the Chrome trace-event format), a
+/// counter sample ('C', a value track: per-superstep IPC, LLC misses, RSS
+/// — see docs/PROFILING.md), an instant ('i'), or one end of a flow arrow
+/// binding cross-thread causality ('s' at the sender, 'f' at the
+/// receiver). `name` has static storage duration (the macros pass
+/// literals), so recording never copies and a torn read never dangles.
 struct TraceEvent {
   const char* name = nullptr;
-  int64_t ts_us = 0;   ///< start, microseconds since the trace epoch
-  int64_t dur_us = 0;  ///< duration (spans) or sampled value (counters)
-  char ph = 'X';       ///< 'X' span, 's'/'f' flow ends, 'C' counter
-  uint64_t id = 0;     ///< flow id pairing 's' with 'f' (flows only)
+  int64_t ts_us = 0;  ///< µs since the trace epoch (span start)
+  int64_t value = 0;  ///< span duration, counter value, or flow id
+  char ph = 0;        ///< 'X', 'C', 'i', 's' or 'f'
+  uint32_t tid = 0;   ///< tracer-assigned id of the recording thread
 };
 
-/// Process-wide tracer with per-thread event buffers.
-///
-/// Design goals (in priority order):
-///  1. Near-zero cost when disabled: the span macros check one relaxed
-///     atomic load and touch nothing else.
-///  2. No locks on the hot path when enabled: each thread appends to its
-///     own chunked buffer; a chunk's element count is published with a
-///     release store and read by the exporter with an acquire load, so
-///     concurrent export observes a consistent prefix (race-free under
-///     TSan; see tests/trace_test.cc and scripts/check.sh).
-///  3. Chrome trace-event JSON output, loadable in chrome://tracing and
-///     Perfetto (https://ui.perfetto.dev).
-///
-/// Buffers are bounded (kMaxChunksPerThread); once a thread fills its
-/// budget further events from that thread are dropped and counted.
+/// The process-wide event log, the one sink of every SG_TRACE_* macro:
+/// each recording thread writes into its own log, a ring of its newest
+/// kRingCapacity events. Two gates:
+///  * Recording (default on; serichk turns it off): each ring overwrites
+///    its oldest event — the black box incident bundles dump.
+///  * Retain-all (Enable()/Disable(); --trace-out, perfbench's traced
+///    job): nothing is overwritten. A full ring goes to a retained list
+///    and the thread continues in a fresh one, up to kMaxRingsPerThread
+///    rings; further events are dropped and counted. Retained events
+///    outlive their thread until export or Reset().
+/// Record() is a thread-local lookup and relaxed atomic stores — no lock,
+/// no allocation — except when retain-all hands off a full ring. Readers
+/// take log_mu_; retained slots are published by the release store of
+/// the ring's head, a tail slot being overwritten may be read torn.
+/// Memory is bounded by live threads: an exited thread's log (and its
+/// tail) goes back to the registry for the next new thread to reuse.
+/// Every slot carries its thread's tid; names live in a tid -> name map.
 class Tracer {
  public:
-  static constexpr size_t kChunkCapacity = 4096;
-  static constexpr size_t kMaxChunksPerThread = 256;
+  static constexpr size_t kRingCapacity = 2048;
+  static constexpr size_t kMaxRingsPerThread = 512;  ///< ~1M events
 
-  /// The process-wide tracer instance used by the SG_TRACE_* macros.
+  /// The process-wide tracer (leaked: alive for exiting threads and the
+  /// fatal-signal dump).
   static Tracer& Get();
 
-  /// Fast global check, inlined into every span constructor.
+  /// Whether Record() stores anything (either gate on).
+  static bool recording() {
+    return flags_.load(std::memory_order_relaxed) != 0;  // mo: on/off gate
+  }
+  /// Whether retain-all is on (flows and the detailed fork-wait spans are
+  /// recorded only then).
   static bool enabled() {
     // mo: on/off gate; stale reads tolerated
-    return enabled_.load(std::memory_order_relaxed);
+    return (flags_.load(std::memory_order_relaxed) & kRetainBit) != 0;
   }
-
-  // mo: on/off gate; stale reads tolerated
-  void Enable() { enabled_.store(true, std::memory_order_relaxed); }
-  // mo: on/off gate; stale reads tolerated
-  void Disable() { enabled_.store(false, std::memory_order_relaxed); }
+  static void EnableRecording() { SetFlag(kRecordBit, true); }
+  static void DisableRecording() { SetFlag(kRecordBit, false); }
+  void Enable() { SetFlag(kRetainBit, true); }
+  void Disable() { SetFlag(kRetainBit, false); }
 
   /// Microseconds since the trace epoch (process start).
   static int64_t NowMicros();
 
-  /// Appends a completed span to the calling thread's buffer.
-  void RecordComplete(const char* name, int64_t ts_us, int64_t dur_us);
-
-  /// Appends one end of a flow arrow at the current time. `ph` is 's'
-  /// (start, at the sender) or 'f' (finish, at the receiver); both ends
-  /// must use the same `name` and `id` to be connected by the viewer.
-  void RecordFlow(const char* name, char ph, uint64_t id);
-
-  /// Appends a counter sample ('C' phase) at the current time. The
-  /// viewer plots successive samples with the same `name` on one value
-  /// track per thread.
-  void RecordCounter(const char* name, int64_t value);
+  /// The one record path: appends an event to the calling thread's log.
+  static void Record(const char* name, char ph, int64_t ts_us, int64_t value);
+  static void RecordSpan(const char* name, int64_t start_us, int64_t dur_us) {
+    Record(name, 'X', start_us, dur_us);
+  }
+  static void RecordCounter(const char* name, int64_t value) {
+    if (recording()) Record(name, 'C', NowMicros(), value);
+  }
+  static void RecordInstant(const char* name) {
+    if (recording()) Record(name, 'i', NowMicros(), 0);
+  }
+  /// One end ('s' or 'f') of the flow arrow `id` at the current time.
+  static void RecordFlow(const char* name, char ph, uint64_t id) {
+    if (recording()) Record(name, ph, NowMicros(), static_cast<int64_t>(id));
+  }
 
   /// Allocates a process-unique nonzero flow id (for WireMessage::span).
   static uint64_t NextFlowId();
 
-  /// Names the calling thread in the exported trace ("worker-3"). Safe to
-  /// call at any time; the last name wins.
+  /// Names the calling thread's lane ("worker-3"); the last name wins. A
+  /// no-op while nothing is recorded.
   void SetCurrentThreadName(const std::string& name);
 
-  /// Serializes all recorded events as Chrome trace-event JSON:
-  ///   {"traceEvents":[{"name":...,"ph":"X","pid":0,"tid":...,
-  ///                    "ts":...,"dur":...}, ...]}
-  /// Safe to call while other threads are still recording (exports a
-  /// consistent prefix of each buffer).
-  std::string ToChromeTraceJson() const;
+  /// Every event held — the retained events plus each ring's tail —
+  /// sorted by timestamp; never-written slots are skipped.
+  std::vector<TraceEvent> Snapshot() const;
 
-  /// Writes ToChromeTraceJson() to `path`.
+  /// Snapshot() and the thread names as a Chrome trace-event document:
+  ///   {"traceEvents":[{"name":...,"ph":"X","pid":0,"tid":...,
+  ///                    "ts":...,"dur":...}, ...],"displayTimeUnit":"ms"}
+  /// The one renderer behind --trace-out, perfbench's traced job and the
+  /// incident bundle's trace.json. Safe while other threads record.
+  std::string ToChromeTraceJson() const;
   Status WriteChromeTrace(const std::string& path) const;
 
-  /// Total events currently recorded across all threads.
+  /// Events retained (recorded with retain-all on) since Reset().
   int64_t event_count() const;
-  /// Events dropped because a thread exhausted its buffer budget.
+  /// Events held now: retained events plus ring tails.
+  int64_t held_count() const;
+  /// Events dropped because a thread exhausted its retain-all budget.
   int64_t dropped_count() const {
     return dropped_.load(std::memory_order_relaxed);  // mo: stat counter
   }
+  /// Registered logs: live recording threads' plus pooled ones.
+  size_t log_count() const;
 
-  /// Discards all recorded events and thread names. Not thread-safe with
-  /// concurrent recording; meant for tests and between CLI runs.
+  /// Discards every event and thread name and frees the pooled logs;
+  /// live threads keep their (emptied) logs. For tests and between runs:
+  /// events recorded concurrently may survive or be lost.
   void Reset();
 
  private:
-  struct Chunk {
-    TraceEvent events[kChunkCapacity];
-    /// Number of valid entries; written only by the owning thread
-    /// (release), read by the exporter (acquire).
-    std::atomic<size_t> count{0};
-  };
+  static constexpr uint8_t kRecordBit = 1;
+  static constexpr uint8_t kRetainBit = 2;
+  static constexpr uint64_t kNotRetaining = ~uint64_t{0};
 
-  struct ThreadBuffer {
-    uint64_t tid = 0;
-    std::string name SY_GUARDED_BY(mu);
-    /// Guards the chunk list structure (growth + export snapshot), never
-    /// held while writing events. Leaf lock: no other lock may be
-    /// acquired while holding it (docs/LOCK_ORDER.md).
-    mutable sy::Mutex mu;
-    std::vector<std::unique_ptr<Chunk>> chunks SY_GUARDED_BY(mu);
+  /// 32 bytes: the tid sits in what would be padding.
+  struct Slot {
+    std::atomic<const char*> name{nullptr};
+    std::atomic<int64_t> ts_us{0};
+    std::atomic<int64_t> value{0};
+    std::atomic<char> ph{0};
+    std::atomic<uint32_t> tid{0};
+  };
+  struct Ring {
+    Slot slots[kRingCapacity];
+  };
+  /// Events at positions [begin, end) of `ring` (slot = position % size).
+  struct RetainedRing {
+    std::unique_ptr<Ring> ring;
+    uint64_t begin = 0;
+    uint64_t end = 0;
+  };
+  /// `ring` changes only under log_mu_; its owner reads it freely.
+  struct ThreadLog {
+    std::unique_ptr<Ring> ring;
+    std::atomic<uint64_t> head{0};  ///< next position; release-published
+    /// Position of the first retained event in `ring`, or kNotRetaining.
+    std::atomic<uint64_t> retain_begin{kNotRetaining};
+    std::atomic<uint32_t> tid{0};      ///< owner's tid; 0 while pooled
+    std::atomic<uint32_t> spilled{0};  ///< rings the owner retained
   };
 
   Tracer() = default;
+  static void SetFlag(uint8_t bit, bool on);
+  /// Gives the calling thread a pooled or new log; nullptr after the
+  /// thread released its log at exit.
+  ThreadLog* Claim();
+  /// Thread exit: keeps the retained events and pools the log.
+  void Release(ThreadLog* log);
+  /// Moves the owner's ring to the retained list and starts a fresh one,
+  /// which keeps retaining with `make_room` (fails past the budget).
+  bool Spill(ThreadLog* log, bool make_room);
+  void RetainRingLocked(ThreadLog* log) SY_REQUIRES(log_mu_);
+  /// event_count() or held_count().
+  int64_t Count(bool retained_only) const;
+  static void AppendSlots(const Ring& ring, uint64_t begin, uint64_t end,
+                          std::vector<TraceEvent>* out);
+  /// Forgets the names of threads none of whose events are still held.
+  void PruneNamesLocked() SY_REQUIRES(log_mu_);
+  friend struct LogReleaser;
 
-  ThreadBuffer* CurrentThreadBuffer();
-
-  static std::atomic<bool> enabled_;
-
-  mutable sy::Mutex registry_mu_;
-  std::vector<std::unique_ptr<ThreadBuffer>> buffers_
-      SY_GUARDED_BY(registry_mu_);
-  uint64_t next_tid_ SY_GUARDED_BY(registry_mu_) = 1;
-  std::atomic<uint64_t> epoch_{0};  ///< bumped by Reset to invalidate TLS
+  static std::atomic<uint8_t> flags_;
+  /// Guards the registry, the retained list and the names; never held
+  /// while writing events. Leaf lock (docs/LOCK_ORDER.md).
+  mutable sy::Mutex log_mu_;
+  std::vector<std::unique_ptr<ThreadLog>> logs_ SY_GUARDED_BY(log_mu_);
+  std::vector<RetainedRing> retained_ SY_GUARDED_BY(log_mu_);
+  std::map<uint32_t, std::string> names_ SY_GUARDED_BY(log_mu_);
+  uint32_t next_tid_ SY_GUARDED_BY(log_mu_) = 1;
   std::atomic<int64_t> dropped_{0};
 };
 
 /// RAII span: records a complete event from construction to destruction.
 /// `name` must be a string literal (or otherwise outlive the tracer).
-/// Every span additionally feeds the always-on FlightRecorder ring
-/// (obs/flightrec.h), so the recent past stays reconstructible in
-/// incident bundles even when full tracing is off.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) {
-    if (Tracer::enabled() || FlightRecorder::enabled()) {
-      name_ = name;
-      start_us_ = Tracer::NowMicros();
-    }
-  }
-
+  explicit TraceSpan(const char* name)
+      : name_(Tracer::recording() ? name : nullptr),
+        start_us_(name_ != nullptr ? Tracer::NowMicros() : 0) {}
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   ~TraceSpan() {
     if (name_ != nullptr) {
-      const int64_t end = Tracer::NowMicros();
-      if (Tracer::enabled()) {
-        Tracer::Get().RecordComplete(name_, start_us_, end - start_us_);
-      }
-      FlightRecorder::RecordSpan(name_, start_us_, end - start_us_);
+      Tracer::Record(name_, 'X', start_us_, Tracer::NowMicros() - start_us_);
     }
   }
 
  private:
-  const char* name_ = nullptr;
-  int64_t start_us_ = 0;
+  const char* const name_;
+  const int64_t start_us_;
 };
 
 #define SG_TRACE_CONCAT_INNER(a, b) a##b
@@ -180,26 +215,13 @@ class TraceSpan {
   ::serigraph::TraceSpan SG_TRACE_CONCAT(sg_trace_span_, __COUNTER__)(name)
 
 /// Records an already-measured interval (for spans that do not map to a
-/// lexical scope, e.g. token hold times). Feeds the FlightRecorder too.
-#define SG_TRACE_INTERVAL(name, start_us, dur_us)                     \
-  do {                                                                \
-    if (::serigraph::Tracer::enabled()) {                             \
-      ::serigraph::Tracer::Get().RecordComplete((name), (start_us),   \
-                                                (dur_us));            \
-    }                                                                 \
-    ::serigraph::FlightRecorder::RecordSpan((name), (start_us),       \
-                                            (dur_us));                \
-  } while (0)
+/// lexical scope, e.g. token hold times).
+#define SG_TRACE_INTERVAL(name, start_us, dur_us) \
+  ::serigraph::Tracer::Record((name), 'X', (start_us), (dur_us))
 
-/// Records a counter sample on the calling thread's track. Feeds the
-/// FlightRecorder too.
-#define SG_TRACE_COUNTER(name, value)                                 \
-  do {                                                                \
-    if (::serigraph::Tracer::enabled()) {                             \
-      ::serigraph::Tracer::Get().RecordCounter((name), (value));      \
-    }                                                                 \
-    ::serigraph::FlightRecorder::RecordCounter((name), (value));      \
-  } while (0)
+/// Records a counter sample on the calling thread's track.
+#define SG_TRACE_COUNTER(name, value) \
+  ::serigraph::Tracer::RecordCounter((name), (value))
 
 }  // namespace serigraph
 

@@ -19,7 +19,7 @@ constexpr int kTopK = 10;
 void Watchdog::Start() {
   if (running_.load(std::memory_order_acquire)) return;
   if (introspect_ && !options_.jsonl_path.empty()) {
-    jsonl_.open(options_.jsonl_path, std::ios::out | std::ios::trunc);
+    jsonl_.open(options_.jsonl_path, std::ios::out | std::ios::app);
     if (!jsonl_.is_open()) {
       SG_LOG(kWarning) << "watchdog: cannot open JSONL log "
                        << options_.jsonl_path << "; streaming disabled";
@@ -217,9 +217,9 @@ void Watchdog::ReportIncident(const std::string& type,
   summary_.incidents.push_back(type + ": " + detail);
   WriteIncidentJson(type, detail, graph, t_us);
   // A confirmed deadlock/stall is the canonical incident: flip /healthz
-  // unhealthy and write a flight-recorder bundle before the abort path
+  // unhealthy and write an incident bundle before the abort path
   // tears the run down (no-op unless an incident dir is configured).
-  FlightRecorder::RecordInstant("watchdog.incident");
+  Tracer::RecordInstant("watchdog.incident");
   TriggerIncidentDump("watchdog-" + type, detail, HealthLevel::kUnhealthy);
 }
 
@@ -264,8 +264,8 @@ void Watchdog::Fail(int worker, std::string reason) {
   SG_LOG(kWarning) << "watchdog: " << reason;
   // Mark the process degraded (recovery may still succeed and clear
   // this) and capture an incident bundle while the pre-failure
-  // flight-recorder tail is still warm.
-  FlightRecorder::RecordInstant("supervisor.failure");
+  // event-log tail is still warm.
+  Tracer::RecordInstant("supervisor.failure");
   TriggerIncidentDump("supervisor", reason, HealthLevel::kDegraded);
   on_failure_(FailureReport{worker, std::move(reason)});
 }

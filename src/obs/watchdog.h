@@ -27,8 +27,10 @@ struct WatchdogOptions {
   /// Convert a confirmed stall or deadlock into Introspector::RequestAbort
   /// so the engine fails the run cleanly instead of hanging.
   bool abort_on_stall = false;
-  /// JSONL event-log destination; empty disables streaming (snapshots are
-  /// still taken for stall/deadlock detection and the final summary).
+  /// JSONL event-log destination, appended to (the engine truncates it
+  /// once per Run, so a recovered run keeps every attempt's snapshots);
+  /// empty disables streaming (snapshots are still taken for
+  /// stall/deadlock detection and the final summary).
   std::string jsonl_path;
   /// Failure detection: a runnable worker (blocked == 0) whose progress
   /// epoch has not moved for this long is declared hung.

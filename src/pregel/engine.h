@@ -865,9 +865,7 @@ class Engine {
 
   void CommLoop(WorkerState& worker) {
     sy::ScheduledThread sched_reg("comm", worker.id);
-    if (Tracer::enabled()) {
-      Tracer::Get().SetCurrentThreadName("comm-" + std::to_string(worker.id));
-    }
+    Tracer::Get().SetCurrentThreadName("comm-" + std::to_string(worker.id));
     while (std::optional<WireMessage> msg = transport_->Receive(worker.id)) {
       switch (msg->kind) {
         case MessageKind::kDataBatch: {
@@ -1652,10 +1650,7 @@ class Engine {
     // runs only when the virtual scheduler grants this thread the
     // processor. No-op in production.
     sy::ScheduledThread sched_reg("worker", worker.id);
-    if (Tracer::enabled()) {
-      Tracer::Get().SetCurrentThreadName("worker-" +
-                                         std::to_string(worker.id));
-    }
+    Tracer::Get().SetCurrentThreadName("worker-" + std::to_string(worker.id));
     for (int superstep = start_superstep_;; ++superstep) {
       SG_TRACE_SPAN("engine.superstep");
       SuperstepSample sample;
@@ -2153,7 +2148,12 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     live.recovery_attempts.store(0, std::memory_order_relaxed);
   }
   HealthState::Get().SetReady(true);
-  FlightRecorder::RecordInstant("engine.run_start");
+  Tracer::RecordInstant("engine.run_start");
+  // The watchdog appends to its JSONL (one watchdog per attempt); a
+  // run's log starts empty.
+  if (options_.introspect && !options_.watchdog.jsonl_path.empty()) {
+    std::ofstream truncate(options_.watchdog.jsonl_path, std::ios::trunc);
+  }
   if (!options_.live_report_path.empty() && !live_report_.is_open()) {
     live_report_.open(options_.live_report_path,
                       std::ios::out | std::ios::trunc);
@@ -2433,7 +2433,7 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     TelemetryHub::Get().run().recovery_attempts.store(
         // mo: live telemetry; approximate by design
         recovery_attempts_, std::memory_order_relaxed);
-    FlightRecorder::RecordInstant("engine.recovery_attempt");
+    Tracer::RecordInstant("engine.recovery_attempt");
     AddRecoveryEvent("recovery attempt " +
                      std::to_string(recovery_attempts_) + "/" +
                      std::to_string(options_.fault.max_recovery_attempts));

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -295,6 +296,41 @@ TEST(CrashRecoveryTest, HangedWorkerIsDetectedAndRecovered) {
     EXPECT_NE(failures.find("unresponsive"), std::string::npos) << failures;
     EXPECT_EQ(failures.find("global stall"), std::string::npos) << failures;
   }
+}
+
+// The engine builds one watchdog per attempt; the JSONL must keep every
+// attempt of a recovered run (truncated once per Run, appended to by each
+// attempt), so it holds one final snapshot per attempt — and nothing
+// from an earlier run.
+TEST(CrashRecoveryTest, WatchdogJsonlKeepsEveryRecoveryAttempt) {
+  Graph graph = TestGraph();
+  EngineOptions opts = FaultOptions(SyncMode::kPartitionLocking);
+  opts.introspect = true;
+  opts.watchdog.heartbeat_timeout_ms = 600;
+  opts.watchdog.jsonl_path = testing::TempDir() + "/recovery_watchdog.jsonl";
+  {
+    std::ofstream stale(opts.watchdog.jsonl_path, std::ios::trunc);
+    for (int i = 0; i < 5; ++i) stale << "{\"final\":true}\n";
+  }
+  FaultEvent hang;
+  hang.action = FaultAction::kHang;
+  hang.point = "engine.post_compute";
+  hang.worker = 1;
+  hang.hit = 2;
+  opts.fault.plan.events.push_back(hang);
+  Engine<Sssp> engine(&graph, opts);
+  auto result = engine.Run(Sssp(0));
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_GE(result->stats.recovery_attempts, 1);
+
+  std::ifstream jsonl(opts.watchdog.jsonl_path);
+  std::string line;
+  int finals = 0;
+  while (std::getline(jsonl, line)) {
+    finals += line.find("\"final\":true") != std::string::npos;
+  }
+  EXPECT_GE(finals, 2);
+  EXPECT_EQ(finals, result->stats.recovery_attempts + 1);
 }
 
 TEST(CrashRecoveryTest, CrashWithRecoveryDisabledAborts) {

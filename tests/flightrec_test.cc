@@ -58,8 +58,8 @@ struct TelemetryReset {
   TelemetryReset() { Reset(); }
   ~TelemetryReset() { Reset(); }
   static void Reset() {
-    FlightRecorder::Enable();
-    FlightRecorder::Get().ResetForTest();
+    Tracer::EnableRecording();
+    Tracer::Get().Reset();
     HealthState::Get().ResetForTest();
     TelemetryHub::Get().ResetForTest();
     IncidentManager::Get().ResetForTest();
@@ -81,14 +81,14 @@ TEST(BuildInfoTest, FieldsAreNonEmpty) {
 
 TEST(FlightRecorderTest, RecordsSpansCountersAndInstants) {
   TelemetryReset reset;
-  FlightRecorder::RecordSpan("fr.test.span", 100, 50);
-  FlightRecorder::RecordCounter("fr.test.counter", 42);
-  FlightRecorder::RecordInstant("fr.test.instant");
+  Tracer::RecordSpan("fr.test.span", 100, 50);
+  Tracer::RecordCounter("fr.test.counter", 42);
+  Tracer::RecordInstant("fr.test.instant");
 
-  const auto events = FlightRecorder::Get().Snapshot();
+  const auto events = Tracer::Get().Snapshot();
   ASSERT_GE(events.size(), 3u);
   bool saw_span = false, saw_counter = false, saw_instant = false;
-  for (const FlightEvent& e : events) {
+  for (const TraceEvent& e : events) {
     if (std::string(e.name) == "fr.test.span") {
       saw_span = true;
       EXPECT_EQ(e.ph, 'X');
@@ -112,42 +112,42 @@ TEST(FlightRecorderTest, RecordsSpansCountersAndInstants) {
 
 TEST(FlightRecorderTest, RingOverwritesOldestAndKeepsTheTail) {
   TelemetryReset reset;
-  const int total = static_cast<int>(FlightRecorder::kRingCapacity) + 257;
+  const int total = static_cast<int>(Tracer::kRingCapacity) + 257;
   for (int i = 0; i < total; ++i) {
-    FlightRecorder::RecordSpan("fr.overwrite", /*start_us=*/i, /*dur_us=*/1);
+    Tracer::RecordSpan("fr.overwrite", /*start_us=*/i, /*dur_us=*/1);
   }
-  const auto events = FlightRecorder::Get().Snapshot();
+  const auto events = Tracer::Get().Snapshot();
   // Retention is bounded by the ring; only the newest kRingCapacity
   // events from this thread survive.
   size_t mine = 0;
   int64_t min_ts = INT64_MAX, max_ts = -1;
-  for (const FlightEvent& e : events) {
+  for (const TraceEvent& e : events) {
     if (std::string(e.name) != "fr.overwrite") continue;
     ++mine;
     min_ts = std::min(min_ts, e.ts_us);
     max_ts = std::max(max_ts, e.ts_us);
   }
-  EXPECT_EQ(mine, FlightRecorder::kRingCapacity);
+  EXPECT_EQ(mine, Tracer::kRingCapacity);
   EXPECT_EQ(max_ts, total - 1);  // newest retained
-  EXPECT_EQ(min_ts, total - static_cast<int>(FlightRecorder::kRingCapacity));
+  EXPECT_EQ(min_ts, total - static_cast<int>(Tracer::kRingCapacity));
 }
 
 TEST(FlightRecorderTest, DisableGatesRecording) {
   TelemetryReset reset;
-  FlightRecorder::Disable();
-  FlightRecorder::RecordInstant("fr.gated");
-  FlightRecorder::Enable();
-  for (const FlightEvent& e : FlightRecorder::Get().Snapshot()) {
+  Tracer::DisableRecording();
+  Tracer::RecordInstant("fr.gated");
+  Tracer::EnableRecording();
+  for (const TraceEvent& e : Tracer::Get().Snapshot()) {
     EXPECT_NE(std::string(e.name), "fr.gated");
   }
 }
 
 TEST(FlightRecorderTest, SnapshotIsSortedByTimestamp) {
   TelemetryReset reset;
-  FlightRecorder::RecordSpan("fr.sort", 300, 1);
-  FlightRecorder::RecordSpan("fr.sort", 100, 1);
-  FlightRecorder::RecordSpan("fr.sort", 200, 1);
-  const auto events = FlightRecorder::Get().Snapshot();
+  Tracer::RecordSpan("fr.sort", 300, 1);
+  Tracer::RecordSpan("fr.sort", 100, 1);
+  Tracer::RecordSpan("fr.sort", 200, 1);
+  const auto events = Tracer::Get().Snapshot();
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_LE(events[i - 1].ts_us, events[i].ts_us);
   }
@@ -164,23 +164,23 @@ TEST(FlightRecorderTest, ConcurrentRecordAndSnapshotIsRaceFree) {
   for (int w = 0; w < 4; ++w) {
     writers.emplace_back([&] {
       for (int i = 0; i < 20000; ++i) {
-        FlightRecorder::RecordSpan("fr.race.span", i, 2);
-        FlightRecorder::RecordCounter("fr.race.counter", i);
-        if (i % 64 == 0) FlightRecorder::RecordInstant("fr.race.instant");
+        Tracer::RecordSpan("fr.race.span", i, 2);
+        Tracer::RecordCounter("fr.race.counter", i);
+        if (i % 64 == 0) Tracer::RecordInstant("fr.race.instant");
       }
     });
   }
   std::thread reader([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      (void)FlightRecorder::Get().Snapshot();
-      (void)FlightRecorder::Get().TailChromeTraceJson();
-      (void)FlightRecorder::Get().event_count();
+      (void)Tracer::Get().Snapshot();
+      (void)Tracer::Get().ToChromeTraceJson();
+      (void)Tracer::Get().held_count();
     }
   });
   for (auto& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   reader.join();
-  EXPECT_GT(FlightRecorder::Get().event_count(), 0);
+  EXPECT_GT(Tracer::Get().held_count(), 0);
 }
 
 // --- span macros feed the recorder with the tracer off -------------------
@@ -199,7 +199,7 @@ TEST(FlightRecorderTest, TraceSpanFeedsRecorderWhenTracerDisabled) {
   // The tracer saw nothing; the flight recorder saw everything.
   EXPECT_EQ(Tracer::Get().event_count(), tracer_events_before);
   bool saw_span = false, saw_interval = false, saw_counter = false;
-  for (const FlightEvent& e : FlightRecorder::Get().Snapshot()) {
+  for (const TraceEvent& e : Tracer::Get().Snapshot()) {
     const std::string name = e.name;
     if (name == "fr.span_macro") {
       saw_span = true;
@@ -215,10 +215,10 @@ TEST(FlightRecorderTest, TraceSpanFeedsRecorderWhenTracerDisabled) {
 
 TEST(FlightRecorderTest, TailChromeTraceJsonIsWellFormed) {
   TelemetryReset reset;
-  FlightRecorder::RecordSpan("fr.json.span", 100, 25);
-  FlightRecorder::RecordCounter("fr.json.counter", 9);
-  FlightRecorder::RecordInstant("fr.json.instant");
-  const std::string json = FlightRecorder::Get().TailChromeTraceJson();
+  Tracer::RecordSpan("fr.json.span", 100, 25);
+  Tracer::RecordCounter("fr.json.counter", 9);
+  Tracer::RecordInstant("fr.json.instant");
+  const std::string json = Tracer::Get().ToChromeTraceJson();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos) << json;
   EXPECT_NE(json.find("fr.json.span"), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
@@ -318,7 +318,7 @@ TEST(IncidentManagerTest, DumpWritesSelfContainedBundle) {
   TelemetryHub::Get().RegisterMetrics(&registry);
   TelemetryHub::Get().SetFaultLogProvider(
       [] { return std::vector<std::string>{"hang w1 fired at s2"}; });
-  FlightRecorder::RecordSpan("fr.bundle.span", 10, 5);
+  Tracer::RecordSpan("fr.bundle.span", 10, 5);
 
   auto result = IncidentManager::Get().Dump("unit-test", "planted incident");
   ASSERT_TRUE(result.ok()) << result.status();
@@ -460,7 +460,7 @@ TEST(FatalSignalDeathTest, SegfaultWritesBundleBeforeDying) {
         IncidentManager::Get().ResetForTest();
         IncidentManager::Get().SetIncidentDir(dir);
         InstallFatalSignalHandlers();
-        FlightRecorder::RecordInstant("fatal.pre_crash");
+        Tracer::RecordInstant("fatal.pre_crash");
         ::raise(SIGSEGV);
       },
       "");

@@ -80,7 +80,7 @@ struct TelemetryReset {
   TelemetryReset() { Reset(); }
   ~TelemetryReset() { Reset(); }
   static void Reset() {
-    FlightRecorder::Enable();
+    Tracer::EnableRecording();
     HealthState::Get().ResetForTest();
     TelemetryHub::Get().ResetForTest();
     IncidentManager::Get().ResetForTest();

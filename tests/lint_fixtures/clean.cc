@@ -1,35 +1,34 @@
 // Lint fixture control: idiomatic sy:: locking that must lint clean —
-// scoped critical sections, declared-order nesting (registry before
-// buffer, matching docs/LOCK_ORDER.md), balanced manual Lock/Unlock.
+// scoped critical sections, declared-order nesting (outbox before
+// inbox, matching docs/LOCK_ORDER.md), balanced manual Lock/Unlock.
 #include "common/mutex.h"
 
 namespace lint_fixture {
 
-struct Buffer {
+struct Box {
   sy::Mutex mu;
-  int events = 0;
+  int items = 0;
 };
 
-class GoodExporter {
+class GoodRouter {
  public:
-  void Export(Buffer* buffer) {
-    sy::MutexLock registry_lock(&registry_mu_);
+  void Forward(Box* inbox) {
+    sy::MutexLock out_lock(&out->mu);
     {
-      sy::MutexLock lock(&buffer->mu);
-      ++buffer->events;
+      sy::MutexLock lock(&inbox->mu);
+      ++inbox->items;
     }
-    ++generation_;
+    ++out->items;
   }
 
   void ManualPair() {
-    registry_mu_.Lock();
-    ++generation_;
-    registry_mu_.Unlock();
+    out->mu.Lock();
+    ++out->items;
+    out->mu.Unlock();
   }
 
  private:
-  sy::Mutex registry_mu_;
-  int generation_ = 0;
+  Box* out = nullptr;
 };
 
 }  // namespace lint_fixture

@@ -1,31 +1,30 @@
 // Lint fixture: nested acquisition inverting a declared edge. The
 // hierarchy in docs/LOCK_ORDER.md declares
-//   obs.tracer.registry -> obs.tracer.buffer
-// so taking the registry lock while holding a buffer lock is an
+//   engine.out -> net.inbox
+// so taking an outbox lock while holding an inbox lock is an
 // inversion. Expected diagnostic: [lock-order] at the inner MutexLock.
 #include "common/mutex.h"
 
 namespace lint_fixture {
 
-struct Buffer {
+struct Box {
   sy::Mutex mu;
-  int events = 0;
+  int items = 0;
 };
 
-class Exporter {
+class Router {
  public:
-  void Flush(Buffer* buffer) {
-    sy::MutexLock lock(&buffer->mu);
+  void Deliver(Box* inbox) {
+    sy::MutexLock lock(&inbox->mu);
     {
-      sy::MutexLock registry_lock(&registry_mu_);  // planted inversion
-      ++generation_;
+      sy::MutexLock out_lock(&out->mu);  // planted inversion
+      ++out->items;
     }
-    ++buffer->events;
+    ++inbox->items;
   }
 
  private:
-  sy::Mutex registry_mu_;
-  int generation_ = 0;
+  Box* out = nullptr;
 };
 
 }  // namespace lint_fixture
