@@ -9,6 +9,7 @@
 #include "common/metrics.h"
 #include "common/serialize.h"
 #include "net/transport.h"
+#include "pregel/message_codec.h"
 
 namespace serigraph {
 namespace {
@@ -54,28 +55,24 @@ void BM_TransportCrossThread(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportCrossThread);
 
+// One data batch through the engine's record codec (pregel/message_codec.h):
+// encode `count` records, then decode them with the receiver's checks.
 void BM_BatchEncodeDecode(benchmark::State& state) {
   const int64_t count = state.range(0);
   for (auto _ : state) {
     BufferWriter writer;
     for (int64_t i = 0; i < count; ++i) {
-      writer.WriteVarint(static_cast<uint64_t>(i));       // dst
-      writer.WriteVarint(static_cast<uint64_t>(i * 31));  // src
-      writer.WriteVarint(1);                              // version
-      double value = static_cast<double>(i);
-      writer.AppendRaw(&value, sizeof(value));
+      EncodeDataRecord(writer, static_cast<VertexId>(i),
+                       static_cast<double>(i));
     }
     std::vector<uint8_t> bytes = writer.Release();
-    BufferReader reader(bytes);
-    uint64_t dst, src, version;
-    double value;
-    while (!reader.AtEnd()) {
-      reader.ReadVarint(&dst);
-      reader.ReadVarint(&src);
-      reader.ReadVarint(&version);
-      reader.ReadRaw(&value, sizeof(value));
-      benchmark::DoNotOptimize(value);
-    }
+    const Status status = DecodeDataBatch<double>(
+        bytes, static_cast<VertexId>(count),
+        [](VertexId) { return PartitionId{0}; },
+        [](PartitionId, VertexId, double&& value) {
+          benchmark::DoNotOptimize(value);
+        });
+    benchmark::DoNotOptimize(status);
     benchmark::DoNotOptimize(bytes);
   }
   state.SetItemsProcessed(state.iterations() * count);

@@ -25,7 +25,8 @@
 # --chaos skips the sanitizer suite entirely: it builds serigraph_cli in
 # Release and drives seeded fault-injection runs end to end — a worker
 # crash mid-superstep under each synchronization technique must recover
-# to exit 0 with a fault section in the metrics JSON, the same crash
+# to exit 0 with a fault section in the metrics JSON, a BSP PageRank
+# crash between checkpoints must recover and still pull, the same crash
 # without --recover must abort with exit 3, a randomized plan under
 # --verify must still pass the serializability audit, and an injected
 # hang under --recover plus --introspect-out must be recovered by the
@@ -128,6 +129,29 @@ print(f"chaos smoke [{sys.argv[2]}]: recovered in "
       f"{len(fault.get('events', []))} recovery events")
 EOF
   done
+
+  # Push/pull composes with checkpoints and recovery: a BSP PageRank run
+  # writing a frame every 3 supersteps crashes in superstep 4 (after the
+  # superstep-3 frame), must recover, and must still pull.
+  PULL_PLAN="$CHAOS_DIR/pull-plan.txt"
+  printf 'crash point=engine.pre_barrier worker=1 hit=5\n' > "$PULL_PLAN"
+  METRICS="$CHAOS_DIR/metrics-pull.json"
+  "$CLI" --algorithm=pagerank --model=bsp --sync=none --generator=powerlaw \
+    --vertices=2000 --degree=8 --seed=2 --workers=3 \
+    --fault-plan="$PULL_PLAN" --checkpoint-every=3 \
+    --checkpoint-dir="$CHAOS_DIR" --recover --metrics-json="$METRICS"
+  python3 - "$METRICS" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+attempts = report.get("fault", {}).get("recovery_attempts", 0)
+if attempts < 1:
+    sys.exit("chaos smoke [pull]: no recovery attempt recorded")
+pulls = report["metrics"].get("engine.pull_supersteps", 0)
+if pulls <= 0:
+    sys.exit("chaos smoke [pull]: checkpointed recovery run never pulled")
+print(f"chaos smoke [pull]: recovered in {attempts} attempt(s), "
+      f"{pulls} pull supersteps")
+EOF
 
   # The same crash with recovery disabled must abort (exit 3), proving
   # the failure was real and not silently tolerated.

@@ -19,6 +19,14 @@ enum class MessageKind : uint8_t {
   kLoading = 4,     ///< input-loading traffic (dependency exchange)
 };
 
+/// Provenance of one vertex-to-vertex message for the history recorder
+/// (verify/history.h): `src`'s write at `version` is addressed to `dst`.
+struct MessageProvenance {
+  VertexId src = kInvalidVertex;
+  VertexId dst = kInvalidVertex;
+  uint64_t version = 0;
+};
+
 /// One message on the simulated network. Control messages use the small
 /// integer operand fields; data batches carry a serialized payload.
 /// `bytes_on_wire` approximates the encoded size (header + payload).
@@ -44,6 +52,12 @@ struct WireMessage {
   /// tolerance) and reports gaps (message loss) to the loss callback.
   uint64_t link_seq = 0;
   std::vector<uint8_t> payload;
+  /// Data batches with a history recorder attached: the provenance of
+  /// every message folded into `payload` (one entry per send, so a
+  /// sender-combined record contributes several). Verification metadata
+  /// carried out of band: empty, with no allocation, on unrecorded runs,
+  /// and not counted by BytesOnWire.
+  std::vector<MessageProvenance> provenance;
 
   /// Approximate wire size: fixed header plus payload.
   int64_t BytesOnWire() const {

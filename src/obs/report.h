@@ -7,9 +7,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "obs/introspect.h"
-#include "obs/memprof.h"
-#include "obs/timeline.h"
 
 namespace serigraph {
 
@@ -46,52 +43,6 @@ class JsonWriter {
   std::vector<bool> needs_comma_{false};
   bool after_key_ = false;
 };
-
-/// The machine-readable summary of one engine run, mirroring
-/// RunStats plus the per-superstep timeline (serigraph_cli
-/// --metrics-json writes exactly this).
-struct RunReport {
-  int supersteps = 0;
-  bool converged = false;
-  double computation_seconds = 0.0;
-  std::map<std::string, int64_t> metrics;
-  std::vector<SuperstepSample> timeline;
-  /// Introspection digest (empty when the run had introspection off).
-  std::string resource_kind;
-  std::vector<ContentionEntry> contention;
-  std::vector<EdgeContentionEntry> contention_edges;
-  int64_t introspect_snapshots = 0;
-  int64_t introspect_stalls = 0;
-  int64_t introspect_deadlocks = 0;
-  std::vector<std::string> introspect_incidents;
-  /// Recovery digest (empty when the run had no fault plan armed and
-  /// in-engine recovery off).
-  int recovery_attempts = 0;
-  std::vector<std::string> recovery_events;
-
-  /// Performance-counter digest (populated only when the run had
-  /// EngineOptions::perf_counters set; see docs/PROFILING.md). Keys in
-  /// `perf_phases` are "<phase>.<field>" ("compute.cycles",
-  /// "barrier.task_clock_ns", ...); hardware fields are absent-as-zero
-  /// under the software fallback, with `perf_fallback` explaining why.
-  bool perf_enabled = false;
-  bool perf_hw_counters = false;
-  std::string perf_fallback;
-  std::map<std::string, int64_t> perf_phases;
-  /// Memory digest (same gating): process peak RSS plus the
-  /// per-superstep RSS/arena samples taken in the serial section.
-  int64_t peak_rss_kb = 0;
-  std::vector<MemSample> mem_samples;
-};
-
-/// Serializes `report` as a JSON object:
-///   {"supersteps":N,"converged":true,"computation_seconds":S,
-///    "metrics":{"name":value,...},
-///    "timeline":[{"superstep":0,"worker":0,"compute_us":...,...},...],
-///    "introspection":{...},            // only when the run recorded any
-///    "fault":{...},                    // only for fault/recovery runs
-///    "perf":{...},"memory":{...}}      // only for perf_counters runs
-std::string RunReportToJson(const RunReport& report);
 
 /// Renders `metrics` in the Prometheus text exposition format with
 /// `# TYPE` hints. Metric names are sanitized (dots and other invalid

@@ -104,15 +104,20 @@ void Watchdog::Sample(bool final_sample) {
   std::vector<int> cycle = FindWorkerCycle(graph);
 
   // Deadlock confirmation: the same worker cycle in two consecutive
-  // samples with every involved worker's progress epoch frozen. A cycle
-  // seen once is normal (fork transfers in flight).
+  // samples with every involved worker's progress epoch frozen and no
+  // message queued in any involved worker's inbox. A cycle seen once is
+  // normal (fork transfers in flight); so is one whose request or fork
+  // still sits in an inbox, waiting for a descheduled comm thread.
   if (!cycle.empty()) {
     std::vector<int> sorted = cycle;
     std::sort(sorted.begin(), sorted.end());
+    const bool inboxes_empty =
+        std::none_of(sorted.begin(), sorted.end(),
+                     [&](int w) { return beacons[w].inbox_depth > 0; });
     std::vector<uint64_t> epochs;
     epochs.reserve(sorted.size());
     for (int w : sorted) epochs.push_back(beacons[w].progress_epoch);
-    if (!deadlock_reported_ && sorted == prev_cycle_ &&
+    if (inboxes_empty && !deadlock_reported_ && sorted == prev_cycle_ &&
         epochs == prev_cycle_epochs_) {
       deadlock_reported_ = true;
       summary_.deadlocks_detected += 1;
@@ -129,8 +134,14 @@ void Watchdog::Sample(bool final_sample) {
         in.RequestAbort("watchdog confirmed deadlock: " + detail);
       }
     }
-    prev_cycle_ = std::move(sorted);
-    prev_cycle_epochs_ = std::move(epochs);
+    if (inboxes_empty) {
+      prev_cycle_ = std::move(sorted);
+      prev_cycle_epochs_ = std::move(epochs);
+    } else {
+      // Not evidence: the next sample cannot confirm against this one.
+      prev_cycle_.clear();
+      prev_cycle_epochs_.clear();
+    }
   } else {
     prev_cycle_.clear();
     prev_cycle_epochs_.clear();

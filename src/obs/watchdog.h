@@ -77,7 +77,10 @@ struct WatchdogSummary {
 /// a wait-for cycle observed in one sample is expected (forks are in
 /// flight); a cycle is only *confirmed* — and reported loudly — when the
 /// same worker cycle shows up in two consecutive samples with none of the
-/// involved workers advancing their progress epoch in between. Stalls use
+/// involved workers advancing their progress epoch in between and, in
+/// both samples, no message queued in an involved worker's inbox (a
+/// queued request or fork is a handover its comm thread has yet to
+/// apply, which oversubscribed runs delay past a sample). Stalls use
 /// the same progress evidence: a worker blocked > stall_ms while the sum
 /// of all progress epochs is frozen.
 ///

@@ -79,7 +79,8 @@ class Engine {
   /// push/pull switch (docs/PERF.md): broadcasts fold through the
   /// combiner, and the payload can live in a flat per-vertex array.
   /// Whether pull actually engages is a runtime decision (BSP, no sync
-  /// technique, no recorder, no checkpointing — see Run()).
+  /// technique, not forced to push — see Run()); it composes with
+  /// checkpoints, recovery and the history recorder.
   static constexpr bool kPullCapable =
       kHasCombiner && std::is_trivially_copyable_v<Message> &&
       std::is_default_constructible_v<Message>;
@@ -207,7 +208,7 @@ class Engine {
   // hot path, and barrier accounting is a popcount.
   // ------------------------------------------------------------------
   /// Recorder provenance of one delivered message: (src, dst, version).
-  using Delivery = std::tuple<VertexId, VertexId, uint64_t>;
+  using Delivery = MessageProvenance;
 
   struct PartitionStore {
     MessageStore<Message> store;
@@ -236,23 +237,30 @@ class Engine {
     CombiningMap<Message> combine SY_GUARDED_BY(mu);
     /// Estimated encoded size of `combine`'s entries (flush trigger).
     int64_t combine_bytes SY_GUARDED_BY(mu) = 0;
+    /// Recorder provenance of every buffered send, folded or not; leaves
+    /// with the next flush as the batch's WireMessage::provenance.
+    std::vector<Delivery> provenance SY_GUARDED_BY(mu);
     /// True while a flusher is encoding/sending outside the lock; a
     /// second flusher must wait on `flushed_cv` so that "flush returned"
     /// keeps meaning "everything previously buffered is on the wire".
     bool flushing SY_GUARDED_BY(mu) = false;
   };
 
-  /// Partition-execution-scoped staging of remote sends: Compute() calls
-  /// append here with no lock at all, and the whole batch folds/encodes
-  /// into the out-buffers under one lock per destination when it drains.
-  /// Drains happen before the partition's (or vertex's) forks can be
-  /// released, so the write-all (C1) ordering is unchanged — staged
-  /// records are always on the shared buffer by the time any handover
-  /// flush could need them. Buffers are pooled per worker and keep their
-  /// capacity (steady-state zero allocation).
+  /// Partition-execution-scoped staging of sends, the one send path of
+  /// every run: Compute() calls append here with no lock at all,
+  /// and the whole batch folds/encodes into the out-buffers under one
+  /// lock per destination when it drains. Drains happen before the
+  /// partition's (or vertex's) forks can be released and before every
+  /// constrained-BSP sub-barrier flush, so the write-all (C1) ordering
+  /// holds — staged records are always on the shared buffer by the time
+  /// any handover flush could need them. Buffers are pooled per worker
+  /// and keep their capacity (steady-state zero allocation). With a
+  /// history recorder attached, each staged send also keeps its
+  /// provenance beside the payload; otherwise those lists stay empty.
   struct SendStaging {
     struct Bucket {
       std::vector<std::pair<VertexId, Message>> records;
+      std::vector<Delivery> provenance;
       int64_t bytes = 0;
     };
     std::vector<Bucket> per_dst;       // indexed by destination worker
@@ -267,6 +275,7 @@ class Engine {
     /// — Section 4.1 needs local replica updates visible immediately.
     struct LocalBin {
       std::vector<std::pair<int32_t, Message>> records;  // (li, payload)
+      std::vector<Delivery> provenance;
     };
     std::vector<LocalBin> per_part;    // indexed by destination partition
     std::vector<PartitionId> parts_touched;
@@ -309,8 +318,6 @@ class Engine {
     /// once per batch instead of once per message.
     std::vector<std::vector<std::pair<int32_t, Message>>> batch_buckets;
     std::vector<PartitionId> batch_touched;
-    /// Parallel to batch_buckets, filled only with a recorder attached.
-    std::vector<std::vector<Delivery>> batch_deliveries;
 
     /// Reusable send-staging buffers; ProcessPartition checks one out
     /// for the duration of a partition's execution.
@@ -346,7 +353,7 @@ class Engine {
    public:
     Context(Engine* engine, WorkerState* worker, VertexId vertex,
             int superstep, uint64_t version, LocalAggregates* aggregates,
-            SendStaging* staging)
+            SendStaging& staging)
         : engine_(engine),
           worker_(worker),
           vertex_(vertex),
@@ -386,7 +393,7 @@ class Engine {
         // pull it over the in-edge CSR next superstep instead of the
         // engine materializing deg(v) message-store appends now.
         if (engine_->capture_bcast_) {
-          engine_->CaptureBroadcast(vertex_, message);
+          engine_->CaptureBroadcast(vertex_, message, version_);
           // Counter parity with the push path: a broadcast still "sends"
           // one message per out-edge as far as the stats are concerned.
           sent_count_ += engine_->graph_->OutDegree(vertex_);
@@ -429,7 +436,7 @@ class Engine {
     int superstep_;
     uint64_t version_;
     LocalAggregates* aggregates_;
-    SendStaging* staging_;
+    SendStaging& staging_;
     bool voted_halt_ = false;
     int64_t sent_count_ = 0;
   };
@@ -498,14 +505,6 @@ class Engine {
 
   // --- messaging ----------------------------------------------------
 
-  static void EncodeRecord(BufferWriter& writer, VertexId src, VertexId dst,
-                           uint64_t version, const Message& message) {
-    writer.WriteVarint(static_cast<uint64_t>(dst));
-    writer.WriteVarint(static_cast<uint64_t>(src));
-    writer.WriteVarint(version);
-    MessageCodec<Message>::Encode(writer, message);
-  }
-
   void DeliverLocal(VertexId src, VertexId dst, const Message& message,
                     uint64_t version) {
     PartitionStore& ps = *stores_[partitioning_.PartitionOf(dst)];
@@ -524,22 +523,29 @@ class Engine {
     }
     if (recorder_ != nullptr) {
       const Delivery delivery{src, dst, version};
-      NotifyDelivered(ps, std::span(&delivery, 1));
+      NotifyDelivered(std::span(&delivery, 1));
     }
   }
 
-  /// Tells the recorder that `deliveries` reached `ps`'s store: at once
-  /// under AP, deferred to the barrier swap under BSP (the messages stay
-  /// invisible until then).
-  void NotifyDelivered(PartitionStore& ps,
-                       std::span<const Delivery> deliveries) {
-    if (options_.model == ComputationModel::kBsp) {
-      sy::MutexLock lock(&ps.notify_mu);
-      for (const Delivery& d : deliveries) ps.pending_notify.push_back(d);
+  /// Tells the recorder that `deliveries` reached their destinations'
+  /// stores: at once under AP, deferred to each destination partition's
+  /// barrier swap under BSP (the messages stay invisible until then).
+  /// Runs of deliveries into one partition share one lock acquisition.
+  void NotifyDelivered(std::span<const Delivery> deliveries) {
+    if (options_.model != ComputationModel::kBsp) {
+      for (const auto& [src, dst, version] : deliveries) {
+        recorder_->OnDeliver(src, dst, version);
+      }
       return;
     }
-    for (const auto& [src, dst, version] : deliveries) {
-      recorder_->OnDeliver(src, dst, version);
+    for (size_t i = 0; i < deliveries.size();) {
+      const PartitionId p = partitioning_.PartitionOf(deliveries[i].dst);
+      PartitionStore& ps = *stores_[p];
+      sy::MutexLock lock(&ps.notify_mu);
+      do {
+        ps.pending_notify.push_back(deliveries[i]);
+      } while (++i < deliveries.size() &&
+               partitioning_.PartitionOf(deliveries[i].dst) == p);
     }
   }
 
@@ -549,7 +555,10 @@ class Engine {
   /// `v` executes exclusively (Pregel semantics), so the value write is
   /// owner-exclusive plain; only the presence bit needs an atomic RMW
   /// (neighbors' bits share words). Readers gather after the barrier.
-  void CaptureBroadcast(VertexId v, const Message& message) {
+  /// With a recorder attached, every out-edge gets the deferred delivery
+  /// a pushed BSP send would have recorded.
+  void CaptureBroadcast(VertexId v, const Message& message,
+                        uint64_t version) {
     if constexpr (kPullCapable) {
       std::vector<Message>& vals = bcast_vals_[bcast_cur_];
       Bitmap& bits = bcast_bits_[bcast_cur_];
@@ -561,6 +570,14 @@ class Engine {
         vals[v] = message;
         bits.Set(static_cast<size_t>(v));
       }
+      if (recorder_ != nullptr) {
+        thread_local std::vector<Delivery> deliveries;
+        deliveries.clear();
+        for (VertexId target : graph_->OutNeighbors(v)) {
+          deliveries.push_back(Delivery{v, target, version});
+        }
+        NotifyDelivered(deliveries);
+      }
     }
   }
 
@@ -569,13 +586,22 @@ class Engine {
     return density_milli >= options_.pull_density_threshold_milli;
   }
 
+  /// True if the barrier that ends superstep `next_superstep - 1` writes
+  /// a checkpoint (MaybeCheckpoint's schedule).
+  bool CheckpointsBefore(int next_superstep) const {
+    return options_.checkpoint_every > 0 &&
+           next_superstep % options_.checkpoint_every == 0;
+  }
+
   /// Barrier serial section: record this superstep's frontier density,
   /// publish its captured broadcasts for next superstep's gather (flip
   /// the double buffer), and decide whether the NEXT superstep captures.
-  /// `total` is the barrier's eligible-vertex count (broadcasters
-  /// included when this superstep captured). Run() also calls it once,
-  /// with `superstep` one before the first, to decide that superstep
-  /// from the post-restore frontier.
+  /// A superstep whose barrier writes a checkpoint never captures, so no
+  /// captured broadcast crosses a checkpoint cut and the frame format
+  /// stays store-only. `total` is the barrier's eligible-vertex count
+  /// (broadcasters included when this superstep captured). Run() also
+  /// calls it once per attempt, with `superstep` one before the first,
+  /// to decide that superstep from the post-restore frontier.
   void AdvancePullEpoch(int superstep, int64_t total, bool stop) {
     last_density_milli_ = std::min<int64_t>(
         1000, Frontier::DensityMilli(static_cast<size_t>(total),
@@ -589,7 +615,8 @@ class Engine {
       bcast_bits_[bcast_cur_].ClearAll();
     }
     gather_bcast_ = captured;
-    capture_bcast_ = !stop && DecidePull(last_density_milli_);
+    capture_bcast_ = !stop && !CheckpointsBefore(superstep + 2) &&
+                     DecidePull(last_density_milli_);
     if (capture_bcast_) pull_supersteps_->Increment();
     if (capture_bcast_ != captured) {
       SG_LOG(kDebug) << "push/pull switch: superstep " << superstep + 1
@@ -604,12 +631,15 @@ class Engine {
     }
   }
 
-  void SendMessage(WorkerState& worker, SendStaging* staging, VertexId src,
+  /// Stages one send. Same-worker sends under AP update the local
+  /// replica eagerly (Section 4.1); everything else waits in `staging`
+  /// until its drain.
+  void SendMessage(WorkerState& worker, SendStaging& staging, VertexId src,
                    VertexId dst, const Message& message, uint64_t version) {
     const WorkerId dst_worker = partitioning_.WorkerOf(dst);
     if (dst_worker == worker.id) {
       local_sends_->Increment();
-      if (staging != nullptr && bsp_local_bins_) {
+      if (bsp_local_bins_) {
         // BSP only: the message is invisible until the next superstep
         // anyway, so it can sit in a cache-resident per-destination-
         // partition bin and land in the store as one AppendBatch per
@@ -617,78 +647,41 @@ class Engine {
         // append per message (GPOP-style scatter). AP never takes this
         // path — Section 4.1 freshness needs the eager DeliverLocal.
         const PartitionId p = partitioning_.PartitionOf(dst);
-        typename SendStaging::LocalBin& bin = staging->per_part[p];
-        if (bin.records.empty()) staging->parts_touched.push_back(p);
+        typename SendStaging::LocalBin& bin = staging.per_part[p];
+        if (bin.records.empty()) staging.parts_touched.push_back(p);
         bin.records.emplace_back(local_index_[dst], message);
+        if (recorder_ != nullptr) {
+          bin.provenance.push_back(Delivery{src, dst, version});
+        }
         if (bin.records.size() >= kLocalBinFlushRecords) {
           FlushLocalBin(p, bin);
         }
         return;
       }
-      // Local replica update: eager under AP (Section 4.1), hidden until
-      // the next superstep under BSP (handled inside DeliverLocal).
       DeliverLocal(src, dst, message, version);
       return;
     }
-    if (staging != nullptr) {
-      // Lock-free staging: the record joins the partition-scoped batch
-      // and reaches the out-buffer in one locked drain per destination.
-      // Staged records carry no (src, version) — staging is off whenever
-      // a history recorder is attached, and nothing else reads them.
-      typename SendStaging::Bucket& bucket = staging->per_dst[dst_worker];
-      if (bucket.records.empty()) {
-        staging->touched.push_back(dst_worker);
-        // mo: dirty hint; barrier orders the data
-        worker.touched[dst_worker].store(1, std::memory_order_relaxed);
-      }
-      bucket.records.emplace_back(dst, message);
-      bucket.bytes += kCombinedRecordBytes;
-      if (bucket.bytes >= options_.message_batch_bytes) {
-        DrainStagingTo(worker, *staging, dst_worker);
-      }
-      return;
+    // Lock-free staging: the record joins the partition-scoped batch and
+    // reaches the out-buffer in one locked drain per destination.
+    typename SendStaging::Bucket& bucket = staging.per_dst[dst_worker];
+    if (bucket.records.empty()) {
+      staging.touched.push_back(dst_worker);
+      // mo: dirty hint; barrier orders the data
+      worker.touched[dst_worker].store(1, std::memory_order_relaxed);
     }
-    // mo: dirty hint; barrier orders the data
-    worker.touched[dst_worker].store(1, std::memory_order_relaxed);
-    OutBuffer& out = *worker.out[dst_worker];
-    sy::MutexLock lock(&out.mu);
-    BufferRecordLocked(out, src, dst, version, message);
-    FlushIfFullLocked(worker, dst_worker, out);
-  }
-
-  /// Adds one record to `out`. Under sender-side combining (Besta et
-  /// al.'s push-side reduction) it folds into the per-destination map
-  /// and is encoded only at flush time; otherwise it is encoded now.
-  void BufferRecordLocked(OutBuffer& out, VertexId src, VertexId dst,
-                          uint64_t version, const Message& message)
-      SY_REQUIRES(out.mu) {
-    if constexpr (kHasCombiner) {
-      if (sender_combining_) {
-        if (out.combine.Fold(dst, message,
-                             [](const Message& a, const Message& b) {
-                               return Program::Combine(a, b);
-                             })) {
-          out.combine_bytes += kCombinedRecordBytes;
-        }
-        return;
-      }
+    bucket.records.emplace_back(dst, message);
+    if (recorder_ != nullptr) {
+      bucket.provenance.push_back(Delivery{src, dst, version});
     }
-    EncodeRecord(out.writer, src, dst, version, message);
-  }
-
-  /// Flushes `out` once its encoded and combined bytes reach the batch
-  /// size (`combine_bytes` stays 0 without sender combining).
-  void FlushIfFullLocked(WorkerState& worker, WorkerId dst, OutBuffer& out)
-      SY_REQUIRES(out.mu) {
-    if (static_cast<int64_t>(out.writer.size()) + out.combine_bytes >=
-        options_.message_batch_bytes) {
-      FlushBufferLocked(worker, dst, out);
+    bucket.bytes += kCombinedRecordBytes;
+    if (bucket.bytes >= options_.message_batch_bytes) {
+      DrainStagingTo(worker, staging, dst_worker);
     }
   }
 
-  /// Per-record size estimate for a combined map entry (varint ids and
-  /// the payload); only the flush trigger depends on it, so a rough
-  /// constant is fine.
+  /// Per-record size estimate for a staged send or a combined map entry
+  /// (a varint id and the payload); only the flush triggers depend on
+  /// it, so a rough constant is fine.
   static constexpr int64_t kCombinedRecordBytes =
       static_cast<int64_t>(sizeof(Message)) + 6;
 
@@ -712,8 +705,13 @@ class Engine {
     if (out.writer.size() == 0 && !have_combined) return;
     SG_TRACE_SPAN("net.flush_batch");
     flushes_->Increment();
-    std::vector<uint8_t> payload = out.writer.Release();
+    WireMessage msg;
+    msg.src = worker.id;
+    msg.dst = dst;
+    msg.kind = MessageKind::kDataBatch;
+    msg.payload = out.writer.Release();
     out.writer.Clear();
+    msg.provenance.swap(out.provenance);
     thread_local std::vector<std::pair<VertexId, Message>> staging;
     staging.clear();
     if (have_combined) out.combine.Drain(&staging);
@@ -722,19 +720,12 @@ class Engine {
     out.mu.Unlock();
     if (!staging.empty()) {
       BufferWriter writer;
-      writer.Adopt(std::move(payload));
+      writer.Adopt(std::move(msg.payload));
       for (const auto& [dst_vertex, message] : staging) {
-        // Combined records carry no meaningful (src, version); history
-        // recording disables sender combining, so nothing reads them.
-        EncodeRecord(writer, /*src=*/0, dst_vertex, /*version=*/0, message);
+        EncodeDataRecord(writer, dst_vertex, message);
       }
-      payload = writer.Release();
+      msg.payload = writer.Release();
     }
-    WireMessage msg;
-    msg.src = worker.id;
-    msg.dst = dst;
-    msg.kind = MessageKind::kDataBatch;
-    msg.payload = std::move(payload);
     transport_->Send(std::move(msg));
     out.mu.Lock();
     out.flushing = false;
@@ -745,6 +736,10 @@ class Engine {
   /// under a single lock acquisition. Called when a bucket fills and
   /// from DrainStaging before any fork release, so the C1 guarantee
   /// ("flush-before-handover") sees staged records as already buffered.
+  /// Under sender-side combining (Besta et al.'s push-side reduction) a
+  /// record folds into the per-destination map and is encoded only at
+  /// flush time; otherwise it is encoded now. Either way its provenance
+  /// is kept.
   void DrainStagingTo(WorkerState& worker, SendStaging& staging,
                       WorkerId dst_worker) {
     typename SendStaging::Bucket& bucket = staging.per_dst[dst_worker];
@@ -752,20 +747,41 @@ class Engine {
     OutBuffer& out = *worker.out[dst_worker];
     sy::MutexLock lock(&out.mu);
     for (const auto& [dst, message] : bucket.records) {
-      // Staged records carry no (src, version) — staging is disabled
-      // whenever a history recorder is attached (see Run()).
-      BufferRecordLocked(out, /*src=*/0, dst, /*version=*/0, message);
+      if constexpr (kHasCombiner) {
+        if (sender_combining_) {
+          if (out.combine.Fold(dst, message,
+                               [](const Message& a, const Message& b) {
+                                 return Program::Combine(a, b);
+                               })) {
+            out.combine_bytes += kCombinedRecordBytes;
+          }
+          continue;
+        }
+      }
+      EncodeDataRecord(out.writer, dst, message);
     }
+    out.provenance.insert(out.provenance.end(), bucket.provenance.begin(),
+                          bucket.provenance.end());
     bucket.records.clear();
+    bucket.provenance.clear();
     bucket.bytes = 0;
-    FlushIfFullLocked(worker, dst_worker, out);
+    // `combine_bytes` stays 0 without sender combining.
+    if (static_cast<int64_t>(out.writer.size()) + out.combine_bytes >=
+        options_.message_batch_bytes) {
+      FlushBufferLocked(worker, dst_worker, out);
+    }
   }
 
   /// Empties one partition bin into its destination store (one batched
-  /// append under that store's shard locks).
+  /// append under that store's shard locks), then hands its provenance
+  /// to the recorder (deferred to the swap: bins are BSP-only).
   void FlushLocalBin(PartitionId p, typename SendStaging::LocalBin& bin) {
     stores_[p]->store.AppendBatch(std::span(bin.records));
     bin.records.clear();
+    if (!bin.provenance.empty()) {
+      NotifyDelivered(bin.provenance);
+      bin.provenance.clear();
+    }
     bin_flushes_->Increment();
   }
 
@@ -805,14 +821,13 @@ class Engine {
   }
 
   /// Decodes a wire batch into per-partition buckets, then applies each
-  /// bucket with one lock acquisition per store shard touched. With a
-  /// recorder attached, each bucket's (src, version) provenance goes to
-  /// the recorder right after that bucket's append — all before this
-  /// returns, so a control message queued behind the batch (a fork
-  /// handover) is handled only after every delivery in it was recorded.
+  /// bucket with one lock acquisition per store shard touched. The
+  /// batch's provenance (present iff a recorder is attached) goes to the
+  /// recorder after the appends — all before this returns, so a control
+  /// message queued behind the batch (a fork handover) is handled only
+  /// after every delivery in it was recorded.
   void ApplyDataBatch(WorkerState& worker, const WireMessage& wire) {
     auto& buckets = worker.batch_buckets;
-    auto& deliveries = worker.batch_deliveries;
     auto& touched = worker.batch_touched;
     int64_t decoded = 0;
     const Status status = DecodeDataBatch<Message>(
@@ -823,34 +838,22 @@ class Engine {
                      ? p
                      : kInvalidPartition;
         },
-        [&](PartitionId p, VertexId dst, VertexId src, uint64_t version,
-            Message&& message) {
+        [&](PartitionId p, VertexId dst, Message&& message) {
           if (buckets[p].empty()) touched.push_back(p);
           buckets[p].emplace_back(local_index_[dst], std::move(message));
-          if (recorder_ != nullptr) {
-            deliveries[p].emplace_back(src, dst, version);
-          }
           ++decoded;
         });
     if (!status.ok()) {
       // A malformed batch is dropped whole and fails the attempt.
-      for (PartitionId p : touched) {
-        buckets[p].clear();
-        deliveries[p].clear();
-      }
+      for (PartitionId p : touched) buckets[p].clear();
       touched.clear();
       OnProtocolViolation(worker.id, status.message());
       return;
     }
     const auto t0 = std::chrono::steady_clock::now();
     for (PartitionId p : touched) {
-      PartitionStore& ps = *stores_[p];
-      ps.store.AppendBatch(std::span(buckets[p]));
+      stores_[p]->store.AppendBatch(std::span(buckets[p]));
       buckets[p].clear();
-      if (recorder_ != nullptr) {
-        NotifyDelivered(ps, deliveries[p]);
-        deliveries[p].clear();
-      }
     }
     touched.clear();
     if (decoded > 0) {
@@ -859,6 +862,7 @@ class Engine {
                              .count();
       store_append_hist_->Record(ns / decoded);
     }
+    if (!wire.provenance.empty()) NotifyDelivered(wire.provenance);
   }
 
   // --- communication thread ------------------------------------------
@@ -965,7 +969,7 @@ class Engine {
   bool ExecuteVertexIfEligible(WorkerState& worker, PartitionStore& ps,
                                const Program& program, VertexId v,
                                int superstep, LocalAggregates& aggregates,
-                               SendStaging* staging) {
+                               SendStaging& staging) {
     // BSP consumes a zero-copy span of the partition's flat buffer (no
     // lock); AP detaches the arrival chain into this per-thread scratch.
     thread_local std::vector<Message> scratch;
@@ -1062,18 +1066,16 @@ class Engine {
     // Aggregator contributions fold lock-free here and merge into the
     // worker's accumulator once, after the partition's vertices ran.
     LocalAggregates aggregates;
-    // Remote sends stage lock-free into a partition-scoped buffer and
-    // reach the shared out-buffer in one locked drain per destination
-    // worker. Every fork release below is preceded by a drain, so a
-    // concurrent fork handover's flush (condition C1) always finds this
-    // partition's records already buffered.
-    SendStaging* staging = send_staging_ ? AcquireStaging(worker) : nullptr;
+    // Sends stage lock-free into a partition-scoped buffer and reach the
+    // shared out-buffer in one locked drain per destination worker. Every
+    // fork release below is preceded by a drain, so a concurrent fork
+    // handover's flush (condition C1) always finds this partition's
+    // records already buffered.
+    SendStaging* staging = AcquireStaging(worker);
     ProcessPartitionVertices(worker, program, p, superstep, aggregates,
-                             staging);
-    if (staging != nullptr) {
-      DrainStaging(worker, *staging);
-      ReleaseStaging(worker, staging);
-    }
+                             *staging);
+    DrainStaging(worker, *staging);
+    ReleaseStaging(worker, staging);
     worker.aggregates.MergeFrom(aggregates);
   }
 
@@ -1116,7 +1118,7 @@ class Engine {
   void ProcessPartitionVertices(WorkerState& worker, const Program& program,
                                 PartitionId p, int superstep,
                                 LocalAggregates& aggregates,
-                                SendStaging* staging) {
+                                SendStaging& staging) {
     PartitionStore& ps = *stores_[p];
     const auto execute = [&](VertexId v) {
       ExecuteVertexIfEligible(worker, ps, program, v, superstep, aggregates,
@@ -1163,7 +1165,10 @@ class Engine {
         ForEachEligible(worker, p, /*dense=*/false, execute);
         // C1: staged sends must be in the out-buffer before the forks
         // can move — the handover flush only covers the shared buffers.
-        if (staging != nullptr) DrainStaging(worker, *staging);
+        // Negative control (serichk): skip it.
+        if (!SG_PLANTED_BUG("engine.skip_staging_drain")) {
+          DrainStaging(worker, staging);
+        }
         technique_->ReleasePartition(worker.id, p);
         break;
       }
@@ -1181,7 +1186,9 @@ class Engine {
           }
           execute(v);
           // C1, per vertex: drain before this vertex's forks release.
-          if (staging != nullptr) DrainStaging(worker, *staging);
+          if (!SG_PLANTED_BUG("engine.skip_staging_drain")) {
+            DrainStaging(worker, staging);
+          }
           technique_->ReleaseVertex(worker.id, v);
           return true;
         });
@@ -1406,8 +1413,7 @@ class Engine {
   }
 
   void MaybeCheckpoint(int next_superstep) {
-    if (options_.checkpoint_every <= 0) return;
-    if (next_superstep % options_.checkpoint_every != 0) return;
+    if (!CheckpointsBefore(next_superstep)) return;
     SG_TRACE_SPAN("engine.checkpoint");
     CheckpointFrame frame;
     frame.superstep = next_superstep;
@@ -1538,18 +1544,17 @@ class Engine {
       });
     }
     LocalAggregates aggregates;
+    SendStaging* staging = AcquireStaging(worker);
     int idle_rounds = 0;
     for (;;) {
-      if (AttemptAborted(worker)) return;
+      if (AttemptAborted(worker)) break;
       int64_t executed = 0;
       std::vector<VertexId> still_pending;
       for (VertexId v : pending) {
         if (technique_->VertexReady(worker.id, v)) {
           PartitionStore& ps = *stores_[partitioning_.PartitionOf(v)];
-          // No staging here: sub-superstep freshness needs each send in
-          // the shared out-buffer before the sub-barrier flush.
           ExecuteVertexIfEligible(worker, ps, program, v, superstep,
-                                  aggregates, /*staging=*/nullptr);
+                                  aggregates, *staging);
           technique_->OnVertexExecuted(worker.id, v);
           ++executed;
         } else {
@@ -1561,7 +1566,9 @@ class Engine {
       sub_supersteps_->Increment();
 
       // Sub-superstep barrier: deliver this round's messages (C1 needs
-      // them visible to later rounds) and agree on global progress.
+      // them visible to later rounds) and agree on global progress. The
+      // drain puts every staged send in a store or an out-buffer first.
+      DrainStaging(worker, *staging);
       FlushAndAwaitAcks(worker, superstep);
       AwaitBarrier(worker);
       {
@@ -1590,8 +1597,7 @@ class Engine {
       AwaitBarrier(worker);
       // A broken barrier (failure detected) means the serial section may
       // never have run: leave via the abort flag, not via sub_stop_.
-      if (AttemptAborted(worker)) return;
-      if (sub_stop_) break;
+      if (AttemptAborted(worker) || sub_stop_) break;
       if (!sub_executed_any_) {
         // No vertex anywhere was ready: fork traffic is still in flight
         // (it has simulated latency). Back off briefly; the protocol
@@ -1604,8 +1610,10 @@ class Engine {
         idle_rounds = 0;
       }
     }
+    ReleaseStaging(worker, staging);
     // Aggregates are only read at the outer superstep barrier, so one
-    // merge for the whole logical superstep suffices.
+    // merge for the whole logical superstep suffices (an aborted
+    // attempt's merge is discarded with the attempt).
     worker.aggregates.MergeFrom(aggregates);
   }
 
@@ -1804,24 +1812,18 @@ class Engine {
   Partitioning partitioning_;
   bool has_partitioning_ = false;
   bool ran_ = false;
-  /// Sender-side combining is active (combiner present, enabled by the
-  /// options, and no history recorder — combined records have no
-  /// per-message (src, version) for it). Fixed before workers start.
+  /// Sender-side combining is active (combiner present and enabled by
+  /// the options). Fixed before workers start.
   bool sender_combining_ = false;
-  /// Partition-scoped lock-free send staging is active (trivially
-  /// copyable message payload, no history recorder, >1 worker). Staged
-  /// records encode with (src, version) = 0, same as combined records.
+  /// Same-worker sends go through per-destination-partition bins
+  /// (GPOP-style scatter) instead of eager appends: every BSP run.
   /// Fixed before workers start.
-  bool send_staging_ = false;
-  /// Same-worker BSP sends go through per-destination-partition bins
-  /// (GPOP-style scatter) instead of eager appends. Fixed before
-  /// workers start; requires send_staging_.
   bool bsp_local_bins_ = false;
 
   // --- push/pull switch state (docs/PERF.md) --------------------------
   /// Structural + runtime gate for the per-superstep switch: kPullCapable
-  /// program, BSP, no sync technique, no recorder, no checkpointing, no
-  /// fault injection, and not forced to push. Fixed before workers start.
+  /// program, BSP, no sync technique, and not forced to push. Fixed
+  /// before workers start.
   bool pull_enabled_ = false;
   /// Current superstep parks broadcasts in bcast_vals_[bcast_cur_]
   /// instead of materializing them ("pull mode"). Flipped only in the
@@ -2051,23 +2053,18 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   if (options_.record_history) {
     recorder_ = std::make_shared<HistoryRecorder>(graph_, num_workers);
   }
-  sender_combining_ =
-      kHasCombiner && options_.sender_combining && recorder_ == nullptr;
-  send_staging_ = std::is_trivially_copyable_v<Message> &&
-                  recorder_ == nullptr && num_workers > 1;
-  bsp_local_bins_ =
-      send_staging_ && options_.model == ComputationModel::kBsp;
+  sender_combining_ = kHasCombiner && options_.sender_combining;
+  bsp_local_bins_ = options_.model == ComputationModel::kBsp;
   // Push/pull switch (docs/PERF.md): BSP only (a captured broadcast is
   // invisible until the next superstep, which is exactly BSP's contract
-  // and exactly what AP must NOT do — Section 4.1 freshness), plain runs
-  // only (sync techniques keep their fork-handover read protocol; the
-  // recorder needs per-message provenance; checkpoints and fault
-  // recovery would lose in-flight captured broadcasts).
+  // and exactly what AP must NOT do — Section 4.1 freshness), and no sync
+  // technique (they keep their fork-handover read protocol). Checkpoints
+  // stay consistent because a superstep whose barrier writes one never
+  // captures (AdvancePullEpoch); recovery starts each attempt with no
+  // capture state.
   pull_enabled_ = kPullCapable &&
                   options_.model == ComputationModel::kBsp &&
                   options_.sync_mode == SyncMode::kNone &&
-                  recorder_ == nullptr && !fault_active &&
-                  options_.checkpoint_every == 0 &&
                   options_.push_pull != PushPullMode::kForcePush;
   if constexpr (kPullCapable) {
     if (pull_enabled_) {
@@ -2282,10 +2279,15 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     }
 
     // First-superstep push/pull decision, from the post-restore frontier
-    // (every later decision happens in the barrier serial section).
+    // (every later decision happens in the barrier serial section). A
+    // failed attempt's captures died with it: the restored frame holds
+    // none, so every attempt starts from empty broadcast buffers.
     capture_bcast_ = false;
     gather_bcast_ = false;
     if (pull_enabled_) {
+      bcast_cur_ = 0;
+      bcast_bits_[0].ClearAll();
+      bcast_bits_[1].ClearAll();
       int64_t eligible = 0;
       for (const auto& ps : stores_) {
         eligible += static_cast<int64_t>(
@@ -2304,7 +2306,6 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
       worker->id = w;
       worker->touched = std::vector<std::atomic<uint8_t>>(num_workers);
       worker->batch_buckets.resize(partitioning_.num_partitions());
-      worker->batch_deliveries.resize(partitioning_.num_partitions());
       for (int d = 0; d < num_workers; ++d) {
         worker->out.push_back(std::make_unique<OutBuffer>());
       }

@@ -29,14 +29,22 @@ struct MessageCodec {
   }
 };
 
-/// Decodes one data-batch payload: records of varint dst, varint src,
-/// varint version, then the codec's message bytes. `route(dst)` returns
-/// dst's partition, or kInvalidPartition when the receiving worker does
-/// not own it; each record then goes to
-/// fn(partition, dst, src, version, message). A
-/// truncated record, a dst >= num_vertices, or an unowned dst stops the
-/// decode with InvalidArgument; records before it were already passed to
-/// fn, so the caller must discard them.
+/// Appends one data-batch record: varint dst, then the codec's message
+/// bytes. The record carries no provenance; with a history recorder
+/// attached, that travels beside the payload (WireMessage::provenance).
+template <typename M>
+void EncodeDataRecord(BufferWriter& writer, VertexId dst, const M& message) {
+  writer.WriteVarint(static_cast<uint64_t>(dst));
+  MessageCodec<M>::Encode(writer, message);
+}
+
+/// Decodes one data-batch payload of EncodeDataRecord records.
+/// `route(dst)` returns dst's partition, or kInvalidPartition when the
+/// receiving worker does not own it; each record then goes to
+/// fn(partition, dst, message). A truncated record, a dst >=
+/// num_vertices, or an unowned dst stops the decode with
+/// InvalidArgument; records before it were already passed to fn, so the
+/// caller must discard them.
 template <typename M, typename Route, typename Fn>
 Status DecodeDataBatch(const std::vector<uint8_t>& payload,
                        VertexId num_vertices, Route&& route, Fn&& fn) {
@@ -48,11 +56,8 @@ Status DecodeDataBatch(const std::vector<uint8_t>& payload,
                                      " in record at byte " +
                                      std::to_string(start));
     };
-    uint64_t dst = 0, src = 0, version = 0;
-    if (!reader.ReadVarint(&dst) || !reader.ReadVarint(&src) ||
-        !reader.ReadVarint(&version)) {
-      return malformed("truncated varint");
-    }
+    uint64_t dst = 0;
+    if (!reader.ReadVarint(&dst)) return malformed("truncated varint");
     M message{};
     if (!MessageCodec<M>::Decode(reader, &message)) {
       return malformed("truncated message");
@@ -65,8 +70,7 @@ Status DecodeDataBatch(const std::vector<uint8_t>& payload,
       return malformed("dst " + std::to_string(dst) +
                        " not owned by this worker");
     }
-    fn(p, static_cast<VertexId>(dst), static_cast<VertexId>(src), version,
-       std::move(message));
+    fn(p, static_cast<VertexId>(dst), std::move(message));
   }
   return Status::OK();
 }

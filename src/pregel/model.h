@@ -67,7 +67,9 @@ struct FaultToleranceOptions {
 /// (see docs/PERF.md, "Push vs. pull"). kAuto switches on frontier
 /// density; the force modes pin one strategy for A/B tests. Ignored
 /// (always push) for AP runs, sync techniques, and programs without a
-/// combiner or with non-trivially-copyable messages.
+/// combiner or with non-trivially-copyable messages. Composes with
+/// checkpoints (supersteps that end in one push), recovery and
+/// record_history.
 enum class PushPullMode {
   kAuto,
   kForcePush,
@@ -102,8 +104,8 @@ struct EngineOptions {
   /// Fold messages into a per-destination-worker combining map on the
   /// sender (only meaningful for programs with a combiner): fewer wire
   /// bytes and one receiver-side append per destination vertex instead
-  /// of per message. Automatically disabled when record_history is set
-  /// (combined records carry no per-message provenance).
+  /// of per message. With record_history set, the recorder's provenance
+  /// of every folded message travels beside the batch.
   bool sender_combining = true;
 
   /// Push/pull strategy for broadcast-style sends (BSP + combiner only).

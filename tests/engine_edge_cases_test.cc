@@ -157,11 +157,10 @@ TEST(EngineEdgeCasesTest, CheckpointUnderAsyncPartitionLocking) {
 
 // --- wire data-batch decode -----------------------------------------
 
-// One record as the engine's send path encodes it.
+// One record as the engine's send path encodes it: dst, then the
+// message (recorder provenance travels out of band, not in the record).
 void AppendRecord(BufferWriter& w, uint64_t dst, int64_t message) {
   w.WriteVarint(dst);
-  w.WriteVarint(3);  // src
-  w.WriteVarint(0);  // version
   MessageCodec<int64_t>::Encode(w, message);
 }
 
@@ -177,11 +176,8 @@ DecodedBatch Decode(const std::vector<uint8_t>& payload) {
   out.status = DecodeDataBatch<int64_t>(
       payload, 10,
       [](VertexId v) { return v < 5 ? PartitionId{1} : kInvalidPartition; },
-      [&](PartitionId p, VertexId dst, VertexId src, uint64_t version,
-          int64_t&& message) {
+      [&](PartitionId p, VertexId dst, int64_t&& message) {
         EXPECT_EQ(p, 1);
-        EXPECT_EQ(src, 3);
-        EXPECT_EQ(version, 0u);
         out.records.emplace_back(dst, message);
       });
   return out;

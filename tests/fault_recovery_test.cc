@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "algos/coloring.h"
+#include "algos/pagerank.h"
 #include "algos/sssp.h"
 #include "fault/fault.h"
 #include "graph/generators.h"
@@ -508,6 +509,69 @@ TEST(SupervisorTest, SlowWorkerIsNotAFalsePositive) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->stats.recovery_attempts, 0);
   EXPECT_EQ(result->stats.Metric("recovery.worker_failures"), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Push/pull under checkpoints and recovery: supersteps whose barrier
+// writes a frame push, the others may pull, and a crash mid-pull restores
+// from a store-only frame into an attempt with no capture state.
+
+EngineOptions BspPullOptions(PushPullMode push_pull) {
+  EngineOptions opts;
+  opts.model = ComputationModel::kBsp;
+  opts.num_workers = 3;
+  opts.partitions_per_worker = 2;
+  opts.max_supersteps = 20000;
+  opts.push_pull = push_pull;
+  return opts;
+}
+
+// Superstep 4's pre-barrier probe: after the superstep-3 frame, in a
+// superstep that gathers superstep 3's captured broadcasts.
+EngineOptions CrashAfterPullOptions(PushPullMode push_pull) {
+  EngineOptions opts = BspPullOptions(push_pull);
+  opts.checkpoint_every = 3;
+  opts.checkpoint_dir = testing::TempDir();
+  opts.fault.recover = true;
+  opts.fault.recovery_backoff_ms = 1;
+  opts.fault.plan.events.push_back(CrashAt("engine.pre_barrier", 1, 5));
+  return opts;
+}
+
+TEST(PullRecoveryTest, PageRankPullsThroughCheckpointsAndACrash) {
+  Graph graph = TestGraph();
+  Engine<PageRank> push(&graph, BspPullOptions(PushPullMode::kForcePush));
+  auto expected = push.Run(PageRank(1e-9));
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_GT(expected->stats.supersteps, 6);  // the crash lands mid-run
+
+  Engine<PageRank> engine(&graph, CrashAfterPullOptions(PushPullMode::kAuto));
+  auto result = engine.Run(PageRank(1e-9));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->stats.converged);
+  EXPECT_GE(result->stats.recovery_attempts, 1);
+  EXPECT_GT(result->stats.Metric("engine.pull_supersteps"), 0);
+  ASSERT_EQ(result->values.size(), expected->values.size());
+  for (size_t v = 0; v < result->values.size(); ++v) {
+    EXPECT_NEAR(result->values[v], expected->values[v], 1e-6)
+        << "vertex " << v;
+  }
+}
+
+TEST(PullRecoveryTest, SsspPullsThroughCheckpointsAndACrash) {
+  Graph graph = TestGraph();
+  Engine<Sssp> push(&graph, BspPullOptions(PushPullMode::kForcePush));
+  auto expected = push.Run(Sssp(0));
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_GT(expected->stats.supersteps, 6);
+
+  Engine<Sssp> engine(&graph, CrashAfterPullOptions(PushPullMode::kForcePull));
+  auto result = engine.Run(Sssp(0));
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_TRUE(result->stats.converged);
+  EXPECT_GE(result->stats.recovery_attempts, 1);
+  EXPECT_GT(result->stats.Metric("engine.pull_supersteps"), 0);
+  EXPECT_EQ(result->values, expected->values);
 }
 
 // ---------------------------------------------------------------------------

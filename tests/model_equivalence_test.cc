@@ -15,6 +15,7 @@
 #include "graph/generators.h"
 #include "graph/streaming_partitioner.h"
 #include "pregel/engine.h"
+#include "verify/history.h"
 
 namespace serigraph {
 namespace {
@@ -291,6 +292,51 @@ TEST_P(ModelEquivalenceTest, PushPullIgnoredOutsideBsp) {
     EXPECT_EQ(result->values, reference) << "sync=" << SyncModeName(sync);
     EXPECT_EQ(result->stats.metrics.at("engine.pull_supersteps"), 0)
         << "AP must never capture, sync=" << SyncModeName(sync);
+  }
+}
+
+// The recorder sees a pulled broadcast exactly as the pushed one: with
+// one worker and one compute thread the executions are deterministic,
+// so the histories must match record for record, stamps included.
+TEST(PushPullHistoryTest, WccRecordsIdenticalUnderPullAndPush) {
+  Graph g = RandomGraph(3).Undirected();
+  std::vector<TxnRecord> records[2];
+  const PushPullMode modes[] = {PushPullMode::kForcePull,
+                                PushPullMode::kForcePush};
+  for (int i = 0; i < 2; ++i) {
+    EngineOptions opts;
+    opts.model = ComputationModel::kBsp;
+    opts.num_workers = 1;
+    opts.compute_threads_per_worker = 1;
+    opts.record_history = true;
+    opts.push_pull = modes[i];
+    Engine<Wcc> engine(&g, opts);
+    auto result = engine.Run(Wcc());
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result->values, ReferenceWcc(g));
+    const int64_t pulls = result->stats.metrics.at("engine.pull_supersteps");
+    EXPECT_EQ(pulls > 0, modes[i] == PushPullMode::kForcePull);
+    records[i] = result->history->TakeRecords();
+  }
+  ASSERT_EQ(records[0].size(), records[1].size());
+  ASSERT_FALSE(records[0].empty());
+  for (size_t k = 0; k < records[0].size(); ++k) {
+    const TxnRecord& pull = records[0][k];
+    const TxnRecord& push = records[1][k];
+    SCOPED_TRACE("record " + std::to_string(k));
+    EXPECT_EQ(pull.vertex, push.vertex);
+    EXPECT_EQ(pull.worker, push.worker);
+    EXPECT_EQ(pull.superstep, push.superstep);
+    EXPECT_EQ(pull.start, push.start);
+    EXPECT_EQ(pull.end, push.end);
+    EXPECT_EQ(pull.written_version, push.written_version);
+    ASSERT_EQ(pull.reads.size(), push.reads.size());
+    for (size_t r = 0; r < pull.reads.size(); ++r) {
+      EXPECT_EQ(pull.reads[r].neighbor, push.reads[r].neighbor);
+      EXPECT_EQ(pull.reads[r].seen_version, push.reads[r].seen_version);
+      EXPECT_EQ(pull.reads[r].current_version,
+                push.reads[r].current_version);
+    }
   }
 }
 

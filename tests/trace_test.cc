@@ -13,6 +13,7 @@
 #include "obs/report.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
+#include "pregel/model.h"
 
 namespace serigraph {
 namespace {
@@ -282,7 +283,7 @@ TEST(TimelineTest, CollectOrdersBySuperstepThenWorker) {
 }
 
 TEST(ReportTest, RunReportJsonContainsMetricsAndTimeline) {
-  RunReport report;
+  RunStats report;
   report.supersteps = 3;
   report.converged = true;
   report.computation_seconds = 0.25;
@@ -293,7 +294,7 @@ TEST(ReportTest, RunReportJsonContainsMetricsAndTimeline) {
   s.compute_us = 99;
   report.timeline.push_back(s);
 
-  const std::string json = RunReportToJson(report);
+  const std::string json = RunStatsToJson(report);
   JsonCursor cursor(json);
   ASSERT_TRUE(cursor.ValidValue()) << json;
   EXPECT_NE(json.find("\"supersteps\":3"), std::string::npos);
@@ -344,7 +345,7 @@ TEST(FlowIdTest, IdsAreUniqueAcrossThreads) {
 }
 
 TEST(ReportTest, IntrospectionSectionRendersWhenPopulated) {
-  RunReport report;
+  RunStats report;
   report.supersteps = 1;
   report.resource_kind = "partition";
   report.introspect_snapshots = 4;
@@ -364,7 +365,7 @@ TEST(ReportTest, IntrospectionSectionRendersWhenPopulated) {
   e.total_wait_us = 4500;
   report.contention_edges.push_back(e);
 
-  const std::string json = RunReportToJson(report);
+  const std::string json = RunStatsToJson(report);
   JsonCursor cursor(json);
   ASSERT_TRUE(cursor.ValidValue()) << json;
   EXPECT_NE(json.find("\"introspection\""), std::string::npos) << json;
