@@ -473,7 +473,7 @@ print("perf gate: report + trace OK (%d counter events, %d mem samples)"
 EOF
 
   # Regression half: micro bench medians AND the end-to-end fig6b grid
-  # against the committed baseline (results/BENCH_pr9.json carries both
+  # against the committed baseline (results/BENCH_pr16.json carries both
   # cell families). Threshold 5.0 = a cell must be 6x slower to fail —
   # shared runners are noisy and their CPUs differ from the baseline
   # machine, so this only catches order-of-magnitude regressions.
@@ -488,7 +488,7 @@ EOF
   python3 scripts/bench_compare.py --merge "$GATE_DIR/BENCH.json" \
     "$GATE_DIR/micro_store.json" "$GATE_DIR/fig6b.json"
   python3 scripts/bench_compare.py --threshold=5.0 --allow-env-mismatch \
-    results/BENCH_pr9.json "$GATE_DIR/BENCH.json"
+    results/BENCH_pr16.json "$GATE_DIR/BENCH.json"
   cp "$GATE_DIR/BENCH.json" "$BUILD_DIR/BENCH.json"
   echo "check.sh: perf gate passed (fresh report at $BUILD_DIR/BENCH.json)"
   exit 0

@@ -9,6 +9,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <utility>
 
 #include "common/logging.h"
@@ -21,6 +22,9 @@
 namespace serigraph {
 
 namespace {
+
+/// How long one connection may take to deliver its request.
+constexpr std::chrono::seconds kRequestDeadline{5};
 
 const char* HttpStatusText(int status) {
   switch (status) {
@@ -177,21 +181,32 @@ void HttpServer::WorkerLoop() {
 }
 
 void HttpServer::HandleConnection(int fd) {
-  // Bounded read with a socket timeout: a stuck client costs one worker
-  // at most five seconds.
-  struct timeval timeout;
-  timeout.tv_sec = 5;
-  timeout.tv_usec = 0;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  // One deadline for the whole request, re-armed as the receive timeout
+  // before each recv: a client trickling bytes costs one worker at most
+  // kRequestDeadline and is then dropped without a reply.
+  const auto deadline = std::chrono::steady_clock::now() + kRequestDeadline;
+  struct timeval timeout = {kRequestDeadline.count(), 0};
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
 
   std::string request;
   char buf[1024];
   while (request.size() < 16 * 1024 &&
          request.find("\r\n\r\n") == std::string::npos) {
+    const int64_t left_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            deadline - std::chrono::steady_clock::now())
+            .count();
+    if (left_us <= 0) break;  // (a zero timeout would never fire)
+    timeout = {static_cast<time_t>(left_us / 1000000),
+               static_cast<suseconds_t>(left_us % 1000000)};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) break;
     request.append(buf, static_cast<size_t>(n));
+  }
+  if (std::chrono::steady_clock::now() >= deadline) {
+    ::close(fd);
+    return;
   }
 
   HttpResponse response;

@@ -50,7 +50,8 @@ void Introspector::Configure(int num_workers, std::string resource_kind) {
   }
 }
 
-void Introspector::SetPhase(WorkerId w, WorkerPhase phase, int superstep) {
+void Introspector::SetPhase(WorkerId w, WorkerPhase phase, int superstep,
+                            int64_t since_us) {
   if (w < 0 || w >= static_cast<WorkerId>(beacons_.size())) return;
   Beacon& b = *beacons_[w];
   // mo: beacon cell; watchdog tolerates races
@@ -58,7 +59,7 @@ void Introspector::SetPhase(WorkerId w, WorkerPhase phase, int superstep) {
   // mo: beacon cell; watchdog tolerates races
   b.superstep.store(superstep, std::memory_order_relaxed);
   // mo: beacon cell; watchdog tolerates races
-  b.phase_since_us.store(Tracer::NowMicros(), std::memory_order_relaxed);
+  b.phase_since_us.store(since_us, std::memory_order_relaxed);
 }
 
 void Introspector::BeginAcquire(WorkerId w, int64_t resource,

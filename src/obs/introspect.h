@@ -14,6 +14,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "graph/types.h"
+#include "obs/trace.h"
 #include "obs/waitfor.h"
 
 namespace serigraph {
@@ -129,7 +130,10 @@ class Introspector {
 
   // --- beacon updates (called from worker threads) --------------------
 
-  void SetPhase(WorkerId w, WorkerPhase phase, int superstep);
+  /// Worker `w` entered `phase` at `since_us` (a Tracer::NowMicros()
+  /// reading; PhaseScope passes its own entry reading).
+  void SetPhase(WorkerId w, WorkerPhase phase, int superstep,
+                int64_t since_us = Tracer::NowMicros());
 
   /// Worker `w` is entering a blocked fork acquisition of `resource`,
   /// missing `total` forks; the first `count` (<= kMaxWaitTargets) are

@@ -38,16 +38,6 @@ const char* PerfFieldName(int f) {
   }
 }
 
-const char* PerfPhaseName(PerfPhase phase) {
-  switch (phase) {
-    case PerfPhase::kCompute: return "compute";
-    case PerfPhase::kFlushWait: return "flush_wait";
-    case PerfPhase::kBarrier: return "barrier";
-    case PerfPhase::kForkWait: return "fork_wait";
-  }
-  return "unknown";
-}
-
 namespace {
 
 int64_t ThreadCpuNs() {

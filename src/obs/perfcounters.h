@@ -112,18 +112,11 @@ class PerfCounterGroup {
   std::string fallback_reason_;
 };
 
-/// Phases the engine attributes counter deltas to. Compute encloses
+/// Phases the engine attributes counter deltas to: the four timed worker
+/// phases, indexed by PhaseRow (obs/timeline.h). Compute encloses
 /// fork-wait (scopes nest, like the wall-clock accounting: compute_us
 /// includes fork waits and the fig6 tables print the share).
-enum class PerfPhase : int {
-  kCompute = 0,
-  kFlushWait,
-  kBarrier,
-  kForkWait,
-};
 constexpr int kNumPerfPhases = 4;
-
-const char* PerfPhaseName(PerfPhase phase);
 
 /// Lock-free (phase x field) accumulator: many threads Add concurrently,
 /// one thread Exchanges a phase's row at each superstep boundary and a
@@ -131,8 +124,8 @@ const char* PerfPhaseName(PerfPhase phase);
 /// not required, only that every delta lands exactly once.
 class PerfPhaseAccum {
  public:
-  void Add(PerfPhase phase, const PerfDelta& delta) {
-    auto& row = rows_[static_cast<int>(phase)];
+  void Add(int phase, const PerfDelta& delta) {
+    auto& row = rows_[phase];
     for (int f = 0; f < kNumPerfFields; ++f) {
       if (delta.v[f] != 0) {
         // mo: per-thread cell; drain tolerates skew
@@ -144,8 +137,8 @@ class PerfPhaseAccum {
   }
 
   /// Drains one phase's accumulated delta (superstep boundary).
-  PerfDelta Exchange(PerfPhase phase) {
-    auto& row = rows_[static_cast<int>(phase)];
+  PerfDelta Exchange(int phase) {
+    auto& row = rows_[phase];
     PerfDelta d;
     for (int f = 0; f < kNumPerfFields; ++f) {
       // mo: per-thread cell; drain tolerates skew
@@ -164,11 +157,12 @@ class PerfPhaseAccum {
   Row rows_[kNumPerfPhases];
 };
 
-/// Process-wide switch for the SY_PERF_SCOPE macro, mirroring the
-/// Tracer/Introspector pattern: when disabled a scope costs one relaxed
-/// atomic load; when enabled each measuring thread lazily opens its own
-/// PerfCounterGroup (thread-local, re-opened after an epoch bump so
-/// Enable/Disable cycles between engine runs see fresh groups).
+/// Process-wide switch for the counter half of PhaseScope
+/// (obs/timeline.h), mirroring the Tracer/Introspector pattern: when
+/// disabled a scope costs one relaxed atomic load; when enabled each
+/// measuring thread lazily opens its own PerfCounterGroup (thread-local,
+/// re-opened after an epoch bump so Enable/Disable cycles between engine
+/// runs see fresh groups).
 class PerfCounters {
  public:
   // mo: on/off gate; stale reads tolerated
@@ -191,48 +185,6 @@ class PerfCounters {
   static std::atomic<bool> enabled_;
   static std::atomic<uint64_t> epoch_;
 };
-
-/// RAII counter scope: reads the calling thread's group at construction
-/// and destruction and adds the delta to `accum` under `phase`. Near
-/// zero cost when PerfCounters is disabled. Scopes nest; an inner
-/// scope's delta is also part of every enclosing scope's delta.
-class PerfScope {
- public:
-  PerfScope(PerfPhaseAccum* accum, PerfPhase phase) {
-    if (PerfCounters::enabled()) {
-      group_ = PerfCounters::CurrentThreadGroup();
-      if (group_ != nullptr) {
-        accum_ = accum;
-        phase_ = phase;
-        start_ = group_->ReadNow();
-      }
-    }
-  }
-
-  PerfScope(const PerfScope&) = delete;
-  PerfScope& operator=(const PerfScope&) = delete;
-
-  ~PerfScope() {
-    if (accum_ != nullptr) {
-      accum_->Add(phase_, PerfCounterGroup::Delta(start_, group_->ReadNow()));
-    }
-  }
-
- private:
-  PerfCounterGroup* group_ = nullptr;
-  PerfPhaseAccum* accum_ = nullptr;
-  PerfPhase phase_ = PerfPhase::kCompute;
-  PerfDelta start_;
-};
-
-#define SY_PERF_CONCAT_INNER(a, b) a##b
-#define SY_PERF_CONCAT(a, b) SY_PERF_CONCAT_INNER(a, b)
-
-/// Attributes the enclosing scope's counter deltas to `phase` in
-/// `accum` (a PerfPhaseAccum*). One relaxed load when collection is off.
-#define SY_PERF_SCOPE(accum, phase) \
-  ::serigraph::PerfScope SY_PERF_CONCAT(sy_perf_scope_, __COUNTER__)( \
-      (accum), (phase))
 
 }  // namespace serigraph
 

@@ -299,12 +299,8 @@ class Engine {
     /// worker may run several compute threads); drained at each barrier.
     std::atomic<int64_t> ss_executions{0};
     std::atomic<int64_t> ss_messages{0};
-    std::atomic<int64_t> ss_fork_wait_us{0};
-    /// Per-superstep hardware/software counter deltas by phase, fed by
-    /// the SY_PERF_SCOPE probes on this worker's threads (one relaxed
-    /// load each when options.perf_counters is off); drained like the
-    /// ss_* accumulators above.
-    PerfPhaseAccum ss_perf;
+    /// Per-superstep phase times and counters, drained at each barrier.
+    std::unique_ptr<PhaseLedger> phases;
 
     sy::Mutex ack_mu;
     sy::CondVar ack_cv;
@@ -1058,11 +1054,12 @@ class Engine {
 
   void ProcessPartition(WorkerState& worker, const Program& program,
                         PartitionId p, int superstep) {
-    // Counter attribution happens here, on the executing (pool) thread,
-    // not around RunPartitions on the worker thread — the worker thread
-    // only waits there. Fork waits nest inside this compute scope, like
-    // they do in the wall-clock accounting.
-    SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kCompute);
+    // Counter attribution happens here, on the executing pool thread, not
+    // in the worker thread's compute scope - the worker thread only waits
+    // there. Without a pool that scope counts and this one does nothing.
+    PhaseScope pool_counters(
+        nullptr, worker.pool != nullptr ? worker.phases.get() : nullptr,
+        WorkerPhase::kCompute, superstep);
     // Aggregator contributions fold lock-free here and merge into the
     // worker's accumulator once, after the partition's vertices ran.
     LocalAggregates aggregates;
@@ -1152,15 +1149,12 @@ class Engine {
         }
         if (AttemptAborted(worker)) return;
         {
-          SG_TRACE_SPAN("sync.fork_acquire");
-          SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kForkWait);
-          const int64_t t0 = Tracer::NowMicros();
+          PhaseScope phase(*worker.phases, WorkerPhase::kForkWait, superstep);
           // Fork waits are legitimate long blocks; exempt them from the
           // watchdog's runnable-worker timeout.
           ScopedBlocked blocked(worker.id);
-          const bool acquired = technique_->AcquirePartition(worker.id, p);
-          RecordForkWait(worker, Tracer::NowMicros() - t0);
-          if (!acquired) return;  // watchdog abort: lock NOT held
+          // False: watchdog abort, lock NOT held.
+          if (!technique_->AcquirePartition(worker.id, p)) return;
         }
         ForEachEligible(worker, p, /*dense=*/false, execute);
         // C1: staged sends must be in the out-buffer before the forks
@@ -1176,13 +1170,11 @@ class Engine {
         ForEachEligible(worker, p, /*dense=*/false, [&](VertexId v) {
           if (!VertexEligible(ps, v)) return true;
           {
-            SG_TRACE_SPAN("sync.fork_acquire");
-            SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kForkWait);
-            const int64_t t0 = Tracer::NowMicros();
+            PhaseScope phase(*worker.phases, WorkerPhase::kForkWait,
+                             superstep);
             ScopedBlocked blocked(worker.id);
-            const bool acquired = technique_->AcquireVertex(worker.id, v);
-            RecordForkWait(worker, Tracer::NowMicros() - t0);
-            if (!acquired) return false;  // watchdog abort: lock NOT held
+            // False: watchdog abort, lock NOT held.
+            if (!technique_->AcquireVertex(worker.id, v)) return false;
           }
           execute(v);
           // C1, per vertex: drain before this vertex's forks release.
@@ -1531,10 +1523,6 @@ class Engine {
   /// executes exactly once per logical superstep.
   void RunSuperstepConstrainedBsp(WorkerState& worker, const Program& program,
                                   int superstep) {
-    // Single compute thread here (the technique requires it), so the
-    // whole sub-superstep loop — including its internal barriers and
-    // flushes — counts as compute, exactly like compute_us does.
-    SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kCompute);
     // Pending = this worker's eligible vertices, fixed at superstep start.
     std::vector<VertexId> pending;
     for (PartitionId p : partitioning_.PartitionsOfWorker(worker.id)) {
@@ -1627,30 +1615,12 @@ class Engine {
 
   // --- worker main loop ------------------------------------------------
 
-  /// Accumulates fork-acquire wait time (request -> all forks held) into
-  /// the worker's superstep accumulator and the run-wide histogram.
-  void RecordForkWait(WorkerState& worker, int64_t wait_us) {
-    // mo: per-superstep stat
-    worker.ss_fork_wait_us.fetch_add(wait_us, std::memory_order_relaxed);
-    fork_wait_hist_->Record(wait_us);
-  }
-
   /// Barrier await marked as a legitimate block (exempt from the
   /// watchdog's runnable-worker timeout). Returns false immediately on a
   /// broken barrier (failure detected mid-attempt).
   bool AwaitBarrier(WorkerState& worker) {
     ScopedBlocked blocked(worker.id);
     return barrier_->Await();
-  }
-
-  /// Barrier await, timed into `*wait_us_acc` and traced.
-  bool TimedAwait(WorkerState& worker, int64_t* wait_us_acc) {
-    SG_TRACE_SPAN("engine.barrier_wait");
-    SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kBarrier);
-    const int64_t t0 = Tracer::NowMicros();
-    const bool serial = AwaitBarrier(worker);
-    *wait_us_acc += Tracer::NowMicros() - t0;
-    return serial;
   }
 
   void WorkerLoop(WorkerState& worker, const Program& program) {
@@ -1677,47 +1647,37 @@ class Engine {
       // the barrier so the surviving workers unwind too.
       if (probes_active_ && !Alive(worker, "engine.superstep_start")) break;
       technique_->OnSuperstepStart(worker.id, superstep);
-      if (Introspector::enabled()) {
-        Introspector::Get().SetPhase(worker.id, WorkerPhase::kCompute,
-                                     superstep);
-      }
       {
-        SG_TRACE_SPAN("engine.compute");
-        const int64_t t0 = Tracer::NowMicros();
+        // With a pool, the pool threads count compute (ProcessPartition).
+        PhaseScope phase(worker.phases.get(),
+                         worker.pool != nullptr ? nullptr : worker.phases.get(),
+                         WorkerPhase::kCompute, superstep);
         if (granularity_ == SyncTechnique::Granularity::kBspVertexLock) {
-          // Sub-superstep barriers and flushes stay inside compute_us
-          // here: Proposition 1 trades compute overlap for barrier cost,
-          // which is exactly what this bucket then shows.
+          // Sub-superstep barriers and flushes stay inside compute here:
+          // Proposition 1 trades compute overlap for barrier cost, which
+          // is exactly what this bucket then shows. (Single compute
+          // thread, so the worker thread's counters are the row's.)
           RunSuperstepConstrainedBsp(worker, program, superstep);
         } else {
           RunPartitions(worker, program, superstep);
         }
-        sample.compute_us = Tracer::NowMicros() - t0;
       }
       if (probes_active_ && !Alive(worker, "engine.post_compute")) break;
       {
-        SG_TRACE_SPAN("engine.flush_acks");
-        SY_PERF_SCOPE(&worker.ss_perf, PerfPhase::kFlushWait);
-        const int64_t t0 = Tracer::NowMicros();
-        if (Introspector::enabled()) {
-          Introspector::Get().SetPhase(worker.id, WorkerPhase::kFlushWait,
-                                       superstep);
-        }
+        PhaseScope phase(*worker.phases, WorkerPhase::kFlushWait, superstep);
         FlushAndAwaitAcks(worker, superstep);
         technique_->OnSuperstepEnd(worker.id, superstep);
-        sample.flush_wait_us = Tracer::NowMicros() - t0;
       }
       if (probes_active_ && !Alive(worker, "engine.pre_barrier")) break;
 
-      if (Introspector::enabled()) {
-        Introspector::Get().SetPhase(worker.id, WorkerPhase::kBarrierWait,
-                                     superstep);
-      }
-      int64_t barrier_us = 0;
-      TimedAwait(worker, &barrier_us);  // B1: superstep-s messages delivered
+      // The superstep-end barriers B1-B3 are the barrier-wait phase.
+      const auto await_barrier = [&] {
+        PhaseScope phase(*worker.phases, WorkerPhase::kBarrierWait, superstep);
+        return AwaitBarrier(worker);
+      };
+      await_barrier();  // B1: superstep-s messages delivered
       active_counts_[worker.id] = SwapAndCountActive(worker);
-      const bool serial =
-          TimedAwait(worker, &barrier_us);  // B2: counts published
+      const bool serial = await_barrier();  // B2: counts published
       if (serial) {
         ReduceAggregates();
         // Arena/RSS gauges stay warm for perf runs and whenever a live
@@ -1762,16 +1722,14 @@ class Engine {
         AdvancePullEpoch(superstep, total, stop);
         stop_.store(stop, std::memory_order_release);
       }
-      TimedAwait(worker, &barrier_us);  // B3: decision visible
+      await_barrier();  // B3: decision visible
       if (AttemptAborted(worker)) break;
       if (Introspector::enabled()) {
         // Superstep completion is global progress even if no vertex ran.
         Introspector::Get().OnProgress(worker.id);
       }
-      sample.barrier_wait_us = barrier_us;
-      barrier_wait_hist_->Record(barrier_us);
-      sample.fork_wait_us =  // mo: per-superstep stat
-          worker.ss_fork_wait_us.exchange(0, std::memory_order_relaxed);
+      worker.phases->CloseSuperstep(&sample,
+                                    perf_active_ ? &perf_totals_ : nullptr);
       sample.vertices_executed =  // mo: per-superstep stat
           worker.ss_executions.exchange(0, std::memory_order_relaxed);
       sample.messages_sent =  // mo: per-superstep stat
@@ -1779,29 +1737,6 @@ class Engine {
       // Written in this barrier's serial section, ordered by B3; every
       // worker's row carries the same global value.
       sample.frontier_density_milli = last_density_milli_;
-      if (perf_active_) {
-        // Drain this worker's per-phase counter deltas: compute lands in
-        // the timeline row (and on the worker's trace counter track),
-        // every phase folds into the run totals.
-        const PerfDelta compute = worker.ss_perf.Exchange(PerfPhase::kCompute);
-        sample.compute_cycles = compute.v[kPerfCycles];
-        sample.compute_instructions = compute.v[kPerfInstructions];
-        sample.compute_llc_loads = compute.v[kPerfLlcLoads];
-        sample.compute_llc_misses = compute.v[kPerfLlcMisses];
-        sample.compute_task_clock_ns = compute.v[kPerfTaskClockNs];
-        sample.perf_hw_valid = compute.hw_valid;
-        perf_totals_.Add(PerfPhase::kCompute, compute);
-        perf_totals_.Add(PerfPhase::kFlushWait,
-                         worker.ss_perf.Exchange(PerfPhase::kFlushWait));
-        perf_totals_.Add(PerfPhase::kBarrier,
-                         worker.ss_perf.Exchange(PerfPhase::kBarrier));
-        perf_totals_.Add(PerfPhase::kForkWait,
-                         worker.ss_perf.Exchange(PerfPhase::kForkWait));
-        if (compute.hw_valid) {
-          SG_TRACE_COUNTER("perf.ipc_milli", compute.ipc_milli());
-          SG_TRACE_COUNTER("perf.llc_misses", compute.v[kPerfLlcMisses]);
-        }
-      }
       timeline_->Append(sample);
       if (stop_.load(std::memory_order_acquire)) break;
     }
@@ -1972,8 +1907,6 @@ class Engine {
   Counter* pull_supersteps_ = nullptr;
   MaxGauge* frontier_density_gauge_ = nullptr;
   Counter* bin_flushes_ = nullptr;
-  Histogram* barrier_wait_hist_ = nullptr;
-  Histogram* fork_wait_hist_ = nullptr;
   Histogram* store_append_hist_ = nullptr;
   Histogram* store_swap_hist_ = nullptr;
   std::unique_ptr<TimelineRecorder> timeline_;
@@ -2028,14 +1961,14 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
   pull_supersteps_ = metrics_.GetCounter("engine.pull_supersteps");
   frontier_density_gauge_ = metrics_.GetGauge("engine.frontier_density_milli");
   bin_flushes_ = metrics_.GetCounter("store.bin_flushes");
-  // Latency histograms (Section 7.3's time breakdown). All three are
-  // registered up front so every run's metrics snapshot carries the
-  // name.p50/.p95/... keys, even when a technique never records into one.
-  barrier_wait_hist_ = metrics_.GetHistogram("engine.barrier_wait_us");
-  fork_wait_hist_ = metrics_.GetHistogram("sync.fork_wait_us");
+  // Latency histograms (Section 7.3's time breakdown), registered up
+  // front so every run's metrics snapshot carries the name.p50/.p95/...
+  // keys, even when a technique never records into one.
   store_append_hist_ = metrics_.GetHistogram("store.append_ns");
   store_swap_hist_ = metrics_.GetHistogram("store.swap_us");
   metrics_.GetHistogram("sync.token_hold_us");
+  metrics_.GetHistogram("engine.barrier_wait_us");
+  metrics_.GetHistogram("sync.fork_wait_us");
   checkpoint_failures_ = metrics_.GetCounter("checkpoint.failures");
   checkpoint_retries_ = metrics_.GetCounter("checkpoint.retries");
   checkpoint_bytes_ = metrics_.GetCounter("checkpoint.bytes");
@@ -2304,6 +2237,9 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
       auto worker = std::make_unique<WorkerState>();
       worker->engine = this;
       worker->id = w;
+      worker->phases = std::make_unique<PhaseLedger>(
+          w, metrics_.GetHistogram("sync.fork_wait_us"),
+          metrics_.GetHistogram("engine.barrier_wait_us"));
       worker->touched = std::vector<std::atomic<uint8_t>>(num_workers);
       worker->batch_buckets.resize(partitioning_.num_partitions());
       for (int d = 0; d < num_workers; ++d) {
@@ -2486,12 +2422,12 @@ StatusOr<typename Engine<Program>::Result> Engine<Program>::Run(
     result.stats.perf_hw_counters = PerfCounters::hw_available();
     result.stats.perf_fallback = PerfCounters::fallback_reason();
     PerfDelta run_total;
-    const PerfPhase kPhases[] = {PerfPhase::kCompute, PerfPhase::kFlushWait,
-                                 PerfPhase::kBarrier, PerfPhase::kForkWait};
-    for (PerfPhase phase : kPhases) {
+    const char* const kPhaseKeys[kNumPerfPhases] = {"compute", "fork_wait",
+                                                    "flush_wait", "barrier"};
+    for (int phase = 0; phase < kNumPerfPhases; ++phase) {
       const PerfDelta d = perf_totals_.Exchange(phase);
       for (int f = 0; f < kNumPerfFields; ++f) {
-        result.stats.perf_phases[std::string(PerfPhaseName(phase)) + "." +
+        result.stats.perf_phases[std::string(kPhaseKeys[phase]) + "." +
                                  PerfFieldName(f)] = d.v[f];
       }
       run_total.Accumulate(d);

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -203,6 +204,47 @@ TEST(ObsServerTest, HealthzFlipsTo503WhenUnhealthy) {
   reply = HttpGet(port, "/healthz");
   EXPECT_EQ(reply.status, 200);
   server.value()->Stop();
+}
+
+TEST(ObsServerTest, TricklingClientsCannotStarveHealthz) {
+  // Each of num_threads clients sends a partial request line one byte a
+  // second, always inside a per-recv timeout. The request deadline must
+  // still free the workers, so /healthz answers within it plus a margin.
+  TelemetryReset reset;
+  const ObsServer::Options options;
+  auto server = ObsServer::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const int port = server.value()->port();
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> tricklers;
+  for (int i = 0; i < options.num_threads; ++i) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    tricklers.emplace_back([fd, &stop] {
+      const std::string line = "GET /healthz-never-finished";
+      for (size_t b = 0; b < line.size() && !stop.load(); ++b) {
+        if (::send(fd, &line[b], 1, MSG_NOSIGNAL) != 1) break;
+        std::this_thread::sleep_for(std::chrono::seconds(1));
+      }
+      ::close(fd);
+    });
+  }
+  // Let both workers pick up a trickler before /healthz queues behind.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto start = std::chrono::steady_clock::now();
+  const HttpReply reply = HttpGet(port, "/healthz");
+  const auto waited = std::chrono::steady_clock::now() - start;
+  stop.store(true);
+  for (auto& t : tricklers) t.join();
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_LT(waited, std::chrono::seconds(5) + std::chrono::seconds(2));
 }
 
 TEST(ObsServerTest, StatuszReportsRunStateAndEnvironment) {

@@ -8,14 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "algos/pagerank.h"
+#include "common/metrics.h"
 #include "graph/generators.h"
 #include "harness/runner.h"
 #include "obs/memprof.h"
 #include "obs/perfcounters.h"
+#include "obs/timeline.h"
 #include "pregel/message_store.h"
 #include "pregel/model.h"
 
@@ -86,21 +89,22 @@ TEST(PerfDeltaTest, RatiosAndAccumulate) {
   EXPECT_EQ(sum.v[kPerfLlcMisses], 100);
 }
 
-TEST(PerfPhaseAccumTest, NestedScopesAttributeAcrossThreads) {
+TEST(PhaseLedgerTest, NestedScopesAttributeAcrossThreads) {
   ScopedSoftwarePerf perf;
-  PerfPhaseAccum accum;
+  Histogram fork_wait, barrier_wait;
+  PhaseLedger ledger(/*worker=*/0, &fork_wait, &barrier_wait);
   // Several "compute threads" each run a compute scope with a fork-wait
   // scope nested inside — the engine's exact nesting. TSan (in the
-  // sanitizer CI pass) checks the accumulator's atomics.
+  // sanitizer CI pass) checks the ledger's atomics.
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&accum] {
+    threads.emplace_back([&ledger] {
       for (int i = 0; i < 50; ++i) {
-        SY_PERF_SCOPE(&accum, PerfPhase::kCompute);
+        PhaseScope compute(ledger, WorkerPhase::kCompute, i);
         volatile int64_t sink = 0;
         for (int j = 0; j < 20000; ++j) sink = sink + j;
         {
-          SY_PERF_SCOPE(&accum, PerfPhase::kForkWait);
+          PhaseScope fork(ledger, WorkerPhase::kForkWait, i);
           for (int j = 0; j < 5000; ++j) sink = sink + j;
         }
       }
@@ -108,24 +112,80 @@ TEST(PerfPhaseAccumTest, NestedScopesAttributeAcrossThreads) {
   }
   for (auto& thread : threads) thread.join();
 
-  const PerfDelta compute = accum.Exchange(PerfPhase::kCompute);
-  const PerfDelta fork = accum.Exchange(PerfPhase::kForkWait);
+  PerfPhaseAccum totals;
+  SuperstepSample sample;
+  ledger.CloseSuperstep(&sample, &totals);
+  const PerfDelta compute = totals.Exchange(PhaseRow(WorkerPhase::kCompute));
+  const PerfDelta fork = totals.Exchange(PhaseRow(WorkerPhase::kForkWait));
   EXPECT_GT(compute.v[kPerfTaskClockNs], 0);
   EXPECT_GT(fork.v[kPerfTaskClockNs], 0);
   // Nesting semantics: the fork-wait interval also counts as compute
   // (mirrors the wall-clock compute_us accounting), so compute >= fork.
   EXPECT_GE(compute.v[kPerfTaskClockNs], fork.v[kPerfTaskClockNs]);
   // Exchange drains: a second read returns zeros.
-  EXPECT_EQ(accum.Exchange(PerfPhase::kCompute).v[kPerfTaskClockNs], 0);
+  EXPECT_EQ(totals.Exchange(PhaseRow(WorkerPhase::kCompute))
+                .v[kPerfTaskClockNs],
+            0);
 }
 
-TEST(PerfScopeTest, DisabledScopesAreNoOps) {
+TEST(PhaseScopeTest, DisabledScopesAreNoOps) {
   ASSERT_FALSE(PerfCounters::enabled());
-  PerfPhaseAccum accum;
+  Histogram fork_wait, barrier_wait;
+  PhaseLedger ledger(/*worker=*/0, &fork_wait, &barrier_wait);
   {
-    SY_PERF_SCOPE(&accum, PerfPhase::kCompute);
+    PhaseScope scope(ledger, WorkerPhase::kCompute, 0);
   }
-  EXPECT_EQ(accum.Exchange(PerfPhase::kCompute).v[kPerfTaskClockNs], 0);
+  PerfPhaseAccum totals;
+  SuperstepSample sample;
+  ledger.CloseSuperstep(&sample, &totals);
+  EXPECT_EQ(totals.Exchange(PhaseRow(WorkerPhase::kCompute))
+                .v[kPerfTaskClockNs],
+            0);
+}
+
+TEST(PhaseScopeTest, UnderAPoolOnlyPoolThreadsCountCompute) {
+  ScopedSoftwarePerf perf;
+  Histogram fork_wait, barrier_wait;
+  PhaseLedger ledger(/*worker=*/0, &fork_wait, &barrier_wait);
+  // The engine's shape with a compute pool: the worker thread times
+  // compute without counting it, and each pool thread counts its own
+  // compute without a clock. The worker thread burns far more CPU inside
+  // its scope than the pool threads do; none of it may reach the row.
+  std::atomic<int64_t> pool_task_clock_ns{0};
+  {
+    PhaseScope compute(&ledger, /*counters=*/nullptr, WorkerPhase::kCompute,
+                       0);
+    std::vector<std::thread> pool;
+    for (int t = 0; t < 2; ++t) {
+      pool.emplace_back([&ledger, &pool_task_clock_ns] {
+        PerfCounterGroup* group = PerfCounters::CurrentThreadGroup();
+        ASSERT_NE(group, nullptr);
+        const PerfDelta before = group->ReadNow();
+        {
+          PhaseScope counted(/*clock=*/nullptr, &ledger,
+                             WorkerPhase::kCompute, 0);
+          volatile int64_t sink = 0;
+          for (int j = 0; j < 200000; ++j) sink = sink + j;
+        }
+        pool_task_clock_ns += PerfCounterGroup::Delta(before, group->ReadNow())
+                                  .v[kPerfTaskClockNs];
+      });
+    }
+    volatile int64_t sink = 0;
+    for (int j = 0; j < 20000000; ++j) sink = sink + j;
+    for (auto& thread : pool) thread.join();
+  }
+  PerfPhaseAccum totals;
+  SuperstepSample sample;
+  ledger.CloseSuperstep(&sample, &totals);
+  EXPECT_GT(sample.compute_us, 0);
+  EXPECT_GT(sample.compute_task_clock_ns, 0);
+  // Each pool thread's scope lies inside its own outer reading, so the
+  // row is at most their sum; the worker thread's burn would exceed it.
+  EXPECT_LE(sample.compute_task_clock_ns, pool_task_clock_ns.load());
+  EXPECT_EQ(totals.Exchange(PhaseRow(WorkerPhase::kCompute))
+                .v[kPerfTaskClockNs],
+            sample.compute_task_clock_ns);
 }
 
 TEST(MemProfTest, PeakRssIsMonotonic) {
@@ -194,6 +254,24 @@ TEST(EnginePerfTest, PerfRunCarriesPhaseTotalsAndMemorySamples) {
 
   // A perf run must not leave the process-global singleton enabled.
   EXPECT_FALSE(PerfCounters::enabled());
+}
+
+TEST(EnginePerfPoolTest, PoolRunTotalsEqualTheTimelineRows) {
+  auto g = Graph::FromEdgeList(ErdosRenyi(/*n=*/200, /*m=*/800, /*seed=*/7));
+  ASSERT_TRUE(g.ok());
+  Graph graph = std::move(g).value();
+  EngineOptions config;
+  config.sync_mode = SyncMode::kPartitionLocking;
+  config.num_workers = 2;
+  config.compute_threads_per_worker = 2;
+  config.perf_counters = true;
+  const RunStats stats = RunProgram(graph, PageRank(0.01), config);
+  // The run total is exactly the sum of the per-superstep rows: every
+  // pool thread's delta lands in one row, once.
+  ASSERT_TRUE(stats.perf_phases.count("compute.task_clock_ns"));
+  EXPECT_GT(stats.perf_phases.at("compute.task_clock_ns"), 0);
+  EXPECT_EQ(stats.perf_phases.at("compute.task_clock_ns"),
+            Total(stats.timeline, &SuperstepSample::compute_task_clock_ns));
 }
 
 TEST(EnginePerfTest, NonPerfRunStaysClean) {
